@@ -6,8 +6,9 @@ sign continuity from quadrature node to quadrature node, so a single branch
 choice propagates along the whole path.  These integrals power the
 Green-function evaluation, the Chebotarev period conditions, and the
 sheet-function grids, so they carry numba ``@njit`` compilation.  Set
-``HPLAB_NO_NUMBA=1`` to run the identical code paths as plain Python/numpy (a
-benchmark comparing both lives in ``benchmarks/bench_kernels.py``).
+``HPLAB_NO_NUMBA=1`` to run the identical code paths as plain Python/numpy.
+Their cost in the whole pipeline is measured by ``pipebench/run.py``
+(workloads ``sheets-p2`` and ``green-p1-far``).
 
 Panel lengths are capped by the distance to the nearest root, so the branch
 never rotates far between nodes.  Segments ending at a root are integrated

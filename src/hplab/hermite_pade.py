@@ -56,9 +56,21 @@ class HPSolution:
 
 @dataclass(frozen=True)
 class ZeroSet:
+    """Roots of a polynomial with their inclusion disks.
+
+    ``roots`` holds ``deg`` working-precision roots sorted by real then
+    imaginary part.  ``radii[i]`` is an upper bound of the radius of a disk
+    about ``roots[i]``; all zeros lie in the union of the disks, and
+    ``multiplicities[i]`` is the number of disks in the connected component
+    that holds root i, which is also the number of zeros in that component
+    (1 for an isolated simple root).  ``residual_bound`` is the backward-error
+    ratio max |p(z_i)| / (|a_n| max(1, |z_i|)^deg).
+    """
+
     roots: tuple
     multiplicities: tuple
     residual_bound: float
+    radii: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -281,13 +293,37 @@ def _horner(coeffs, x):
     return v
 
 
-def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None = None):
-    """All complex roots by Aberth-Ehrlich simultaneous iteration, plus the
-    normalized zero-counting measure.
+def _horner_with_derivative(coeffs, x):
+    """p(x) and p'(x) in one Horner pass."""
+    p, dp = mp.mpc(0), mp.mpc(0)
+    for c in reversed(coeffs):
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
 
-    Starts from companion-matrix eigenvalues in double precision and polishes
-    at elevated precision until the certified residual bound drops under
-    ``tol``; one automatic precision doubling before giving up.
+
+def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None = None):
+    """All complex roots by Aberth-Ehrlich simultaneous iteration, with
+    inclusion disks, plus the normalized zero-counting measure.
+
+    ``poly`` holds ascending coefficients (ints, floats, complex numbers,
+    decimal strings or mpmath numbers).  Trailing coefficients below
+    2^{-prec/2} of the largest are trimmed first; roots and disks are those
+    of the trimmed polynomial, which keeps ``deg`` roots.  The iteration
+    starts from companion-matrix eigenvalues in double precision and runs at
+    ``work = 2 * prec`` bits until its steps reach the rounding floor (see
+    ``_aberth``), so the roots carry full working precision whatever ``tol``.
+
+    Certificate: ``radii[i]`` bounds Neumaier's inclusion radius
+    deg |p(z_i)| / |a_n prod_{j != i} (z_i - z_j)| from above, evaluated in
+    interval arithmetic on enclosures of the coefficients as passed in.
+    Every zero of p lies in the union of the disks |z - z_i| <= r_i, and a
+    connected component of m overlapping disks holds exactly m zeros counted
+    with multiplicity; ``multiplicities[i]`` is the size of the component
+    that holds root i.  ``tol`` bounds both the backward-error ratio
+    ``residual_bound`` and every relative radius r_i / max(1, |z_i|).  When
+    either is above it the working precision is raised once to 3 * prec;
+    then NoConvergence is raised.
     """
     prec = precision_bits or 256
     coeffs = list(poly)
@@ -306,25 +342,42 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
             deg = len(cs) - 1
             roots = _aberth(cs, deg, work)
             bound = _residual_bound(cs, roots)
-            if bound <= tol:
-                roots = sorted(roots, key=lambda r: (mp.re(r), mp.im(r)))
+            radii, sizes = _inclusion_disks(coeffs, roots, work)
+            rel_radius = max(r / max(1, abs(z)) for r, z in zip(radii, roots))
+            if bound <= tol and rel_radius <= tol:
+                order = sorted(range(deg), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
                 zs = ZeroSet(
-                    roots=tuple(roots),
-                    multiplicities=tuple([1] * deg),
+                    roots=tuple(roots[i] for i in order),
+                    multiplicities=tuple(sizes[i] for i in order),
                     residual_bound=float(bound),
+                    radii=tuple(radii[i] for i in order),
                 )
                 w = 1.0 / deg
                 measure = DiscreteMeasure(
-                    support=tuple(complex(r) for r in roots),
+                    support=tuple(complex(roots[i]) for i in order),
                     weights=tuple([w] * deg),
                     plane="z",
                 )
                 return zs, measure
-    raise NoConvergence(f"root residual bound {float(bound)} above tol {tol}")
+    raise NoConvergence(
+        f"root residual bound {float(bound)} or relative inclusion radius "
+        f"{float(rel_radius)} above tol {tol}"
+    )
 
 
 def _aberth(cs, deg, prec):
-    dcs = [cs[i] * i for i in range(1, deg + 1)]
+    """Aberth-Ehrlich sweeps at ``prec`` bits.
+
+    Stop rule, after the stagnation tests of MPSolve (Bini & Robol, J. Comput.
+    Appl. Math. 2014), on the largest relative step of a sweep: once it is
+    below 2^{-prec/2}, one more sweep reaches the rounding floor, since the
+    iteration converges cubically at simple roots.  Multiple roots (where
+    convergence is only linear, and a root of multiplicity m is fixed only
+    to about 2^{-prec/m}) and ill-conditioned ones leave the steps at a
+    floor above that level, so the loop also stops when the step, once
+    below 2^{-prec/4}, has not halved for 3 sweeps.  200 sweeps are the last
+    guard.
+    """
     try:
         comp = np.zeros((deg, deg), dtype=complex)
         lead = complex(cs[-1])
@@ -338,12 +391,14 @@ def _aberth(cs, deg, prec):
     # tiny deterministic shake so clustered eigenvalue output cannot coincide
     roots = [r + mp.mpf(2) ** (-40) * (1 + 1j) * (i + 1) / deg for i, r in enumerate(roots)]
     eps = mp.mpf(2) ** (-prec + 8)
+    converged = mp.mpf(2) ** (-(prec // 2))
+    watched = mp.mpf(2) ** (-(prec // 4))
+    best, stalled, last = None, 0, False
     for _ in range(200):
         moved = mp.mpf(0)
         new = []
         for i, r in enumerate(roots):
-            p = _horner(cs, r)
-            dp = _horner(dcs, r)
+            p, dp = _horner_with_derivative(cs, r)
             if dp == 0:
                 new.append(r + eps)
                 moved = max(moved, eps)
@@ -360,8 +415,19 @@ def _aberth(cs, deg, prec):
             new.append(r - delta)
             moved = max(moved, abs(delta) / max(1, abs(r)))
         roots = new
-        if moved < eps:
+        if last:
             break
+        if moved < converged:
+            last = True
+        elif best is None:
+            if moved < watched:
+                best = moved
+        elif moved <= best / 2:
+            best, stalled = moved, 0
+        else:
+            stalled += 1
+            if stalled == 3:
+                break
     return roots
 
 
@@ -373,3 +439,39 @@ def _residual_bound(cs, roots):
         scale = lead * max(mp.mpf(1), abs(r)) ** deg
         worst = max(worst, abs(_horner(cs, r)) / scale)
     return worst
+
+
+def _inclusion_disks(coeffs, roots, prec):
+    """Neumaier's inclusion radii of ``roots`` and the size of the cluster of
+    overlapping disks that holds each root.
+
+    Evaluated in mpmath interval arithmetic at ``prec`` bits.  Each
+    coefficient is enclosed as given: an mpmath number exactly, an int,
+    float or decimal string rounded outward to ``prec`` bits.  So each
+    radius, the upper end of its interval, is a bound; it is +inf when the
+    roots' differences cannot be told from 0.
+    """
+    iv = type(mp.iv)()  # own interval context: the shared mp.iv keeps its precision
+    iv.prec = prec
+    cs = [iv.convert(c) for c in coeffs]
+    zs = [iv.convert(z) for z in roots]
+    deg = len(zs)
+    radii = []
+    for i, z in enumerate(zs):
+        p = iv.mpf(0)
+        for c in reversed(cs):
+            p = p * z + c
+        d = cs[-1]
+        for j, w in enumerate(zs):
+            if j != i:
+                d = d * (z - w)
+        radii.append(mp.make_mpf((deg * abs(p) / abs(d))._mpi_[1]))
+    # connected components of the overlap graph
+    cluster = list(range(deg))
+    for i in range(deg):
+        for j in range(i + 1, deg):
+            gap = mp.make_mpf(abs(zs[i] - zs[j])._mpi_[0])
+            if cluster[i] != cluster[j] and gap <= mp.fadd(radii[i], radii[j], rounding="c"):
+                merged = cluster[j]
+                cluster = [cluster[i] if c == merged else c for c in cluster]
+    return radii, [cluster.count(c) for c in cluster]

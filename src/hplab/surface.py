@@ -38,6 +38,10 @@ def _sqrt_branch(z: complex) -> complex:
     """sqrt(z^2 - 1) with the branch that behaves like z at infinity, cut
     along [-1, 1]."""
     s = cmath.sqrt(z - 1) * cmath.sqrt(z + 1)
+    # left of -1 a negative-zero imaginary part puts the product on the other
+    # branch; the right one has |z + s| > 1
+    if abs(z + s) < 1:
+        s = -s
     return s
 
 

@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hplab.hermite_pade as hp_mod
 from hplab.hermite_pade import (
     DiscreteMeasure,
     HPSolution,
@@ -141,6 +142,8 @@ def test_pade_denominator_zeros_real(germs_z):
     for r in zeros.roots:
         assert abs(mp.im(r)) < 1e-15
         assert -1 < mp.re(r) < 1
+    assert len(zeros.radii) == len(zeros.roots)
+    assert all(r <= 1e-20 for r in zeros.radii)
     assert measure.plane == "z"
     assert sum(measure.weights) == pytest.approx(1.0, abs=1e-14)
 
@@ -183,3 +186,61 @@ def test_discrete_measure_projection():
     assert m.projected_z()[0] == pytest.approx(1.25)
     mz = DiscreteMeasure(support=(0.5 + 0j,), weights=(1.0,), plane="z")
     assert mz.projected_z()[0] == pytest.approx(0.5)
+
+
+def _covers(zeros, e, idx=None):
+    """True when the disk of one of the roots ``idx`` (default all) holds e."""
+    idx = range(len(zeros.roots)) if idx is None else idx
+    return any(abs(zeros.roots[i] - e) <= zeros.radii[i] for i in idx)
+
+
+@pytest.mark.parametrize("precision_bits", [None, 2048])
+def test_aberth_stops_before_sweep_cap(precision_bits, spec_z, monkeypatch):
+    # each sweep evaluates p and p' once per root, so calls / deg = sweeps
+    k, n, bits = 3, 10, 2048
+    germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
+    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
+    calls = []
+    one_pass = hp_mod._horner_with_derivative
+
+    def counted(coeffs, x):
+        calls.append(1)
+        return one_pass(coeffs, x)
+
+    monkeypatch.setattr(hp_mod, "_horner_with_derivative", counted)
+    for q in sol.polys:
+        calls.clear()
+        zeros, _ = polyroots_and_measure(q, tol=1e-10, precision_bits=precision_bits)
+        deg = len(zeros.roots)
+        assert deg == n
+        assert len(calls) <= 40 * deg
+
+
+def test_polyroots_double_root_cluster():
+    # (z - 1)^2 (z + 2) = z^3 - 3z + 2; roots sorted by real part: -2, 1, 1
+    zeros, measure = polyroots_and_measure([2, -3, 0, 1], tol=1e-14, precision_bits=256)
+    assert len(zeros.roots) == len(zeros.radii) == 3
+    assert zeros.multiplicities == (1, 2, 2)
+    assert abs(zeros.roots[0] + 2) <= zeros.radii[0]
+    # the component of the two overlapping disks holds the double zero at 1
+    assert _covers(zeros, 1, idx=(1, 2))
+    assert sum(measure.weights) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_polyroots_known_quartic_disks():
+    # (z^2 + z - 2)(z^2 + 9): every disk is tiny and holds a true root
+    zeros, _ = polyroots_and_measure([-18, 9, 7, 1, 1], tol=1e-14, precision_bits=256)
+    assert len(zeros.radii) == 4
+    assert zeros.multiplicities == (1, 1, 1, 1)
+    assert all(r <= 1e-14 for r in zeros.radii)
+    for e in (1, -2, mp.mpc(0, 3), mp.mpc(0, -3)):
+        assert _covers(zeros, e)
+
+
+@pytest.mark.parametrize("poly", [[-18, 9, 7, 1, 1], [2, -3, 0, 1]])
+def test_polyroots_bit_identical_reruns(poly):
+    a, _ = polyroots_and_measure(poly, tol=1e-14, precision_bits=256)
+    b, _ = polyroots_and_measure(poly, tol=1e-14, precision_bits=256)
+    # mpmath numbers are normalized, so equal values at one precision are
+    # equal bits
+    assert a == b

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hplab.surface import (
     PoleAtInfinity,
@@ -123,9 +123,19 @@ def test_lift_project_roundtrip(z, sheet):
 
 
 @given(z=complex_points)
+@example(z=complex(-2, -0.0))
 @settings(max_examples=200, deadline=None)
 def test_green_antisymmetric_across_sheets(z):
     p1, p2 = lift(z, 1), lift(z, 2)
     g1, g2 = green_signed(p1), green_signed(p2)
     assert abs(g1 + g2) < 1e-12
     assert g1 >= -1e-12
+
+
+def test_lift_negative_zero_imaginary_part():
+    # sqrt(z - 1) * sqrt(z + 1) follows the sign of -0.0 left of -1 and lands
+    # on the other branch; the lift must still put sheet 1 outside the circle
+    z = complex(-2, -0.0)
+    assert lift(z, 1).zeta == pytest.approx(-2 - math.sqrt(3))
+    assert lift(z, 2).zeta == pytest.approx(1 / (-2 - math.sqrt(3)))
+    assert green_signed(lift(z, 1)) == pytest.approx(math.log(2 + math.sqrt(3)))
