@@ -192,28 +192,3 @@ def integrate_path(num_roots, den_roots, waypoints, singular=None, w0=0j):
         sing = np.asarray(singular, dtype=np.bool_)
     total, w = path_integral(nr, dr, pts, sing, complex(w0), _GL_X, _GL_W)
     return complex(total), complex(w)
-
-
-@njit(cache=True)
-def _batch(num_roots, den_roots, paths, sing, glx, glw):
-    out = np.empty(len(paths))
-    for i in range(len(paths)):
-        total, _ = path_integral(num_roots, den_roots, paths[i], sing[i], 0.0 + 0.0j, glx, glw)
-        out[i] = abs(total.real)
-    return out
-
-
-def green_values(num_roots, den_roots, paths):
-    """|Re integral| of sqrt(V/B) along each polyline in ``paths`` (a list of
-    equal-length waypoint arrays whose first vertex is a root).  This is the
-    Green function value when sqrt(V/B) is its complexified derivative and
-    each path starts on the zero set."""
-    nr = _as_root_array(num_roots)
-    dr = _as_root_array(den_roots)
-    pts = np.asarray(paths, dtype=np.complex128)
-    allr = np.concatenate([nr, dr]) if nr.size + dr.size else np.empty(0, np.complex128)
-    sing = np.empty(pts.shape, dtype=np.bool_)
-    for i in range(pts.shape[0]):
-        for j in range(pts.shape[1]):
-            sing[i, j] = allr.size > 0 and np.min(np.abs(allr - pts[i, j])) < _ENDPOINT_EPS
-    return _batch(nr, dr, pts, sing, _GL_X, _GL_W)

@@ -12,6 +12,15 @@ Two independent routes to the same quantities:
 
 Closed forms for segments and circular arcs serve as oracles and as
 high-accuracy Green functions for non-extremal comparison arcs.
+
+Far field.  Let rho be the largest modulus of a root of V or B and
+R0 = 2 rho.  Outside |t| = rho, sqrt(V/B) has a Laurent series whose branch
+at infinity is the one that behaves like +1/t, so beyond R0 the Green function
+is g(z) = log|z| + gamma - Re sum_k (a_k/k) z^-k.  A point with |z| > R0 takes
+its value at R0 z/|z| from a short routed path and adds the change of the
+series along the ray; the Robin constant gamma comes from one such point.  With
+60 terms the tail at R0 is about 2^-60.  This needs the compact to lie inside
+|t| < R0 (the traced arcs of the p = 1 and p = 2 test configurations do).
 """
 
 from __future__ import annotations
@@ -22,8 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import integrate_path, path_integral, _GL_X, _GL_W
-from .scurve import QuadraticDifferential
+from ._kernels import integrate_path
+from .scurve import QuadraticDifferential, route_around
+
+# Laurent terms of the far field (module docstring)
+_FAR_TERMS = 60
 
 
 class GreenError(RuntimeError):
@@ -54,37 +66,14 @@ class RobinComparison:
 # Green values from the quadratic differential
 
 
-def _route(anchor: complex, target: complex, roots, clearance: float = 0.08):
-    """Polyline from a root ``anchor`` to ``target`` detouring around other
-    roots that sit close to the straight segment."""
-    anchor = complex(anchor)
-    target = complex(target)
-    d = target - anchor
-    L = abs(d)
-    if L == 0:
-        return [anchor, target]
-    detours = []
-    for r in roots:
-        r = complex(r)
-        if abs(r - anchor) < 1e-12 or abs(r - target) < 1e-12:
-            continue
-        u = ((r - anchor) / d).real
-        if 0.0 < u < 1.0:
-            dist = abs(anchor + u * d - r)
-            margin = clearance * min(L, 1.0 + abs(r - anchor))
-            if dist < margin:
-                detours.append((u, r + 1j * d / L * margin))
-    detours.sort(key=lambda t: t[0])
-    return [anchor] + [w for _, w in detours] + [target]
-
-
 def green_eval(qd: QuadraticDifferential, points) -> GreenEvaluation:
     """Green function of the extremal continuum of ``qd`` (pole at infinity)
     at the given points, together with the Robin constant.
 
-    Each value is |Re \\int sqrt(V/B)| from the nearest endpoint along a
-    routed path; the Robin constant comes from Richardson extrapolation of
-    g(R) - log R over R = 1e3, 1e4, 1e5.
+    Within |z| <= R0 each value is |Re \\int sqrt(V/B)| from the nearest
+    endpoint along a routed path; beyond R0 it is the value at R0 z/|z| plus
+    the Laurent far field (module docstring).  The Robin constant comes from
+    :func:`robin_gamma`.
     """
     pts = [complex(z) for z in points]
     values = tuple(float(v) for v in _green_many(qd, pts))
@@ -94,36 +83,68 @@ def green_eval(qd: QuadraticDifferential, points) -> GreenEvaluation:
     )
 
 
+def _laurent(qd: QuadraticDifferential):
+    """(R0, a) with R0 = 2 max|root| and sqrt(V/B)(t) = (1/t) sum_k a[k]
+    (R0/t)^k on the branch a[0] = 1, for k = 0 .. _FAR_TERMS.
+
+    log(t sqrt(V/B)) = 1/2 [sum log(1 - v/t) - sum log(1 - b/t)] has
+    coefficients l_k = -(S_v(k) - S_b(k)) / (2k) in R0/t, with S the power
+    sums of the roots scaled by R0; the exponential follows from
+    k a_k = sum_j j l_j a_(k-j).
+    """
+    num = np.asarray(qd.numerator_roots, dtype=complex)
+    den = np.asarray(qd.denominator_roots, dtype=complex)
+    r0 = 2.0 * float(np.max(np.abs(np.concatenate([num, den]))))
+    k = np.arange(1, _FAR_TERMS + 1)
+    jl = -0.5 * (
+        ((num / r0)[:, None] ** k).sum(axis=0) - ((den / r0)[:, None] ** k).sum(axis=0)
+    )
+    a = np.zeros(_FAR_TERMS + 1, dtype=complex)
+    a[0] = 1.0
+    for n in range(1, _FAR_TERMS + 1):
+        a[n] = np.dot(jl[:n], a[n - 1::-1]) / n
+    return r0, a
+
+
+def _laurent_tail(a, w) -> np.ndarray:
+    """Re sum_(k>=1) (a[k]/k) w^k for each w = R0/z; |w| <= 1 keeps the
+    powers from overflowing."""
+    w = np.asarray(w, dtype=complex).reshape(-1, 1)
+    k = np.arange(1, len(a))
+    return (w**k @ (a[1:] / k)).real
+
+
 def _green_many(qd: QuadraticDifferential, pts):
     num = list(qd.numerator_roots)
     den = list(qd.denominator_roots)
     roots = num + den
+    r0, a = _laurent(qd)
+    pts = np.asarray(pts, dtype=complex)
+    far = np.abs(pts) > r0
+    starts = pts.copy()
+    starts[far] = r0 * pts[far] / np.abs(pts[far])
     out = np.empty(len(pts))
-    for i, z in enumerate(pts):
+    for i, z in enumerate(starts):
+        z = complex(z)
         anchor = min(den, key=lambda r: abs(z - r))
-        path = _route(anchor, z, roots)
-        val, _ = integrate_path(num, den, path)
+        val, _ = integrate_path(num, den, route_around(anchor, z, roots))
         out[i] = abs(val.real)
+    if far.any():
+        out[far] += (
+            np.log(np.abs(pts[far]) / np.abs(starts[far]))
+            + _laurent_tail(a, r0 / starts[far])
+            - _laurent_tail(a, r0 / pts[far])
+        )
     return out
 
 
 def robin_gamma(qd: QuadraticDifferential) -> float:
-    """Robin constant lim (g(z) - log|z|), extrapolated in 1/R."""
-    num = list(qd.numerator_roots)
-    den = list(qd.denominator_roots)
-    roots = num + den
-    anchor = den[0]
-    radii = (1e3, 1e4, 1e5)
-    ys = []
-    for R in radii:
-        z = complex(R, R * 1e-3)  # slightly off-axis to dodge collinear roots
-        path = _route(anchor, z, roots)
-        val, _ = integrate_path(num, den, path)
-        ys.append(abs(val.real) - math.log(abs(z)))
-    rs = np.asarray(radii)
-    a = np.vstack([np.ones(3), 1 / rs, 1 / rs**2]).T
-    coef = np.linalg.solve(a, np.asarray(ys))
-    return float(coef[0])
+    """Robin constant lim (g(z) - log|z|), from one routed path to a point
+    z0 on |z| = R0: gamma = g(z0) - log|z0| + Re sum_k (a_k/k) z0^-k."""
+    r0, a = _laurent(qd)
+    z0 = r0 * cmath.exp(1e-3j)  # slightly off-axis to dodge collinear roots
+    g0 = _green_many(qd, [z0])[0]
+    return float(g0 - math.log(abs(z0)) + _laurent_tail(a, r0 / z0)[0])
 
 
 def capacity(qd: QuadraticDifferential) -> float:

@@ -40,3 +40,13 @@ def compact_p1(qd_p1):
     from hplab.scurve import trace_compact
 
     return trace_compact(qd_p1)
+
+
+@pytest.fixture(scope="session")
+def qd_p2():
+    # pairs horizontally well separated relative to their height, so the
+    # extremal compact is of disjoint conjugate-pair type
+    from hplab.scurve import chebotarev_solve
+
+    pts = [-0.5 + 0.25j, -0.5 - 0.25j, 0.45 + 0.2j, 0.45 - 0.2j]
+    return chebotarev_solve(pts)

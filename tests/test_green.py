@@ -9,6 +9,9 @@ from hplab._kernels import JIT_ENABLED, integrate_path
 from hplab.green import (
     CircularArc,
     InadmissibleCandidate,
+    _green_many,
+    _laurent,
+    _laurent_tail,
     capacity,
     capacity_robin,
     capacity_robin_multi,
@@ -20,7 +23,13 @@ from hplab.green import (
     segment_capacity_robin,
     segment_green,
 )
-from hplab.scurve import chebotarev_solve, segment_samples
+from hplab.scurve import (
+    QuadraticDifferential,
+    chebotarev_solve,
+    route_around,
+    segment_samples,
+    trace_compact,
+)
 from hplab.surface import green_signed, lift
 
 
@@ -153,6 +162,65 @@ def test_two_robin_routes_agree(qd_p1):
 
 def test_capacity_is_exp_minus_robin(qd_p1):
     assert capacity(qd_p1) == pytest.approx(math.exp(-robin_gamma(qd_p1)), rel=1e-14)
+
+
+@pytest.mark.parametrize("endpoints", [(1 / 2, 1 / 3), (1 / 3, 1 / 2)])
+def test_robin_independent_of_endpoint_order(endpoints):
+    qd = QuadraticDifferential(numerator_roots=(), denominator_roots=endpoints)
+    assert abs(robin_gamma(qd) - math.log(24.0)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# far field: Laurent tail beyond |z| = R0
+
+
+def test_far_values_match_segment_closed_form(qd_p1):
+    pts = [
+        R * cmath.exp(1j * th)
+        for R in (1e3, 1e4, 1e5, 1e6, 1e7)
+        for th in (math.pi / 4, -math.pi / 4, math.pi)
+    ]
+    for z, g in zip(pts, _green_many(qd_p1, pts)):
+        assert abs(g - segment_green(1 / 3, 1 / 2, z)) <= 1e-11
+
+
+def _routed(qd, z):
+    """Green value by one routed path from the nearest endpoint."""
+    num, den = list(qd.numerator_roots), list(qd.denominator_roots)
+    anchor = min(den, key=lambda r: abs(z - r))
+    val, _ = integrate_path(num, den, route_around(anchor, z, num + den))
+    return abs(val.real)
+
+
+def test_far_field_continuous_across_r0(qd_p2):
+    """Just outside R0 the far field agrees with the routed path; just
+    inside, the far-field formula (continued below R0) agrees with the
+    routed value that _green_many returns there."""
+    r0, a = _laurent(qd_p2)
+    gamma = robin_gamma(qd_p2)
+    ring = np.exp(2j * math.pi * (np.arange(16) + 0.5) / 16)
+    for scale in (1.01, 0.99):
+        zs = scale * r0 * ring
+        routed = np.asarray([_routed(qd_p2, complex(z)) for z in zs])
+        laurent = gamma + np.log(np.abs(zs)) - _laurent_tail(a, r0 / zs)
+        assert np.max(np.abs(laurent - routed)) <= 1e-10
+        assert np.max(np.abs(_green_many(qd_p2, zs) - routed)) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [3.0 + 0j, 2.0 + 2.0j])
+def test_laurent_series_is_the_plus_branch(qd_p2, t):
+    r0, a = _laurent(qd_p2)
+    series = sum(a[k] * (r0 / t) ** k for k in range(len(a))) / t
+    exact = cmath.sqrt(qd_p2.q_at(t))
+    if (exact * t).real < 0:
+        exact = -exact
+    assert abs(series - exact) <= 1e-14
+
+
+def test_traced_compact_inside_r0(qd_p2):
+    r0, _ = _laurent(qd_p2)
+    for arc in trace_compact(qd_p2).arcs:
+        assert np.max(np.abs(arc)) < r0
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,6 @@ def test_p1_real_pair_capacity_oracle(qd_p1):
     assert gamma == pytest.approx(math.log(4.0 / (1 / 6)), abs=1e-9)
 
 
-@pytest.fixture(scope="module")
-def qd_p2():
-    # pairs horizontally well separated relative to their height, so the
-    # extremal compact is of disjoint conjugate-pair type
-    pts = [-0.5 + 0.25j, -0.5 - 0.25j, 0.45 + 0.2j, 0.45 - 0.2j]
-    return chebotarev_solve(pts)
-
-
 def test_p2_period_conditions_met(qd_p2):
     assert qd_p2.residual < 1e-11
     assert len(qd_p2.double_zeros) == 1
