@@ -22,13 +22,17 @@ reflects the true discretization error and shrinks under refinement.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite_pade import DiscreteMeasure
+from .surface import zeta_branch
+
+# interior rows per block of the residual evaluation: caps its temporaries at
+# 32 x n entries, so peak memory stays that of the n x n system
+_BLOCK_ROWS = 32
 
 
 class EquilibriumError(RuntimeError):
@@ -56,24 +60,16 @@ class EnergyReport:
         )
 
 
-def _phi(z: complex) -> complex:
-    w = cmath.sqrt(z - 1) * cmath.sqrt(z + 1)
-    zeta = z + w
-    if abs(zeta) < 1:
-        zeta = z - w
-    return zeta
-
-
 def interaction_kernel(z: complex, t: complex) -> float:
     """K(z, t) for distinct points off the segment [-1, 1]."""
     return float(
         -2 * math.log(abs(complex(z) - complex(t)))
-        + math.log(abs(1 - _phi(z) * _phi(t)))
+        + math.log(abs(1 - zeta_branch(z) * zeta_branch(t)))
     )
 
 
 def external_field(z: complex) -> float:
-    return math.log(abs(_phi(z)))
+    return math.log(abs(zeta_branch(z)))
 
 
 def potential(measure: DiscreteMeasure, z: complex) -> float:
@@ -123,26 +119,28 @@ def _cells(arc: np.ndarray, n: int):
     return mids, cells, lengths
 
 
-def _log_cell_integral(z: complex, a: complex, b: complex) -> float:
-    """Exact \\int_cell -2 log|z - t| |dt| over the straight cell [a, b]."""
-    L = abs(b - a)
-    if L == 0:
-        return 0.0
-    e = (b - a) / L
+def _log_cell_integral(z, a, b):
+    """Exact \\int_cell -2 log|z - t| |dt| over the straight cell [a, b].
+
+    Broadcasts over arrays of z, a and b; scalars give a float.  A
+    zero-length cell gives 0."""
+    z, a, b = (np.asarray(x, dtype=complex) for x in (z, a, b))
+    L = np.abs(b - a)
+    empty = L == 0
+    e = np.where(empty, 1, b - a) / np.where(empty, 1, L)
     d = (z - a) / e
-    xi, eta = d.real, abs(d.imag)
+    xi, eta = d.real, np.abs(d.imag)
+    pos = eta > 0
+    eta_safe = np.where(pos, eta, 1)
 
     def anti(u):
         du = u - xi
         r2 = du * du + eta * eta
-        if r2 == 0:
-            return -2 * u
-        val = du * math.log(r2) - 2 * u
-        if eta > 0:
-            val += 2 * eta * math.atan(du / eta)
-        return val
+        val = np.where(r2 == 0, 0, du * np.log(np.where(r2 == 0, 1, r2))) - 2 * u
+        return val + np.where(pos, 2 * eta * np.arctan(du / eta_safe), 0)
 
-    return -(anti(L) - anti(0.0))
+    out = np.where(empty, 0.0, anti(0.0) - anti(L))
+    return out if out.ndim else float(out)
 
 
 def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> EnergyReport:
@@ -151,10 +149,13 @@ def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> Ener
     ``arc`` is a polyline (sequence of complex points) staying off [-1, 1].
     The density is piecewise constant on n equal-arclength cells.  The
     residual is the sup over interior cell midpoints of the deviation of the
-    honestly re-evaluated total potential from its weighted mean.
+    honestly re-evaluated total potential from its weighted mean.  That
+    re-evaluation takes the interior rows in blocks of ``_BLOCK_ROWS``: per
+    block, one array of exact cell integrals of -2 log|z - t| times the
+    densities, plus log|1 - Phi(z) Phi(t)| times the weights, plus the field.
     """
     mids, cells, lengths = _cells(np.asarray(arc, dtype=complex), n)
-    phis = np.asarray([_phi(z) for z in mids])
+    phis = zeta_branch(mids)
     logdiff = np.abs(mids[:, None] - mids[None, :])
     np.fill_diagonal(logdiff, 1.0)
     g = -2 * np.log(logdiff) + np.log(np.abs(1 - phis[:, None] * phis[None, :]))
@@ -182,18 +183,16 @@ def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> Ener
     # honest residual: piecewise-constant density, exact log integrals
     lo = int(n * (1 - interior_fraction) / 2)
     hi = n - lo
-    pvals = []
-    for i in range(lo, hi):
-        z = mids[i]
-        p = 0.0
-        for j in range(n):
-            dens = w[j] / lengths[j]
-            a, b = cells[j]
-            p += dens * _log_cell_integral(z, a, b)
-            p += w[j] * math.log(abs(1 - phis[i] * phis[j]))
-        p += v[i]
-        pvals.append(p)
-    pvals = np.asarray(pvals)
+    a, b = np.asarray(cells).T
+    dens = w / lengths
+    pvals = np.empty(hi - lo)
+    for start in range(lo, hi, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, hi))
+        pvals[rows.start - lo:rows.stop - lo] = (
+            _log_cell_integral(mids[rows, None], a, b) @ dens
+            + np.log(np.abs(1 - phis[rows, None] * phis)) @ w
+            + v[rows]
+        )
     wmid = w[lo:hi]
     ref = float(np.average(pvals, weights=np.maximum(wmid, 1e-300)))
     residual = float(np.max(np.abs(pvals - ref)))

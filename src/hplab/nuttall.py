@@ -23,6 +23,7 @@ import numpy as np
 
 from .green import _green_many
 from .scurve import QuadraticDifferential
+from .surface import zeta_branch
 
 
 class NuttallError(RuntimeError):
@@ -49,14 +50,6 @@ class NuttallReport:
     max_abs_sum: float
     slope_u1: float
     slope_stderr: float
-
-
-def _zeta1(z: complex) -> complex:
-    w = cmath.sqrt(z - 1) * cmath.sqrt(z + 1)
-    zeta = z + w
-    if abs(zeta) < 1:
-        zeta = z - w
-    return zeta
 
 
 def _cut_distance(qd: QuadraticDifferential, z: complex, nodes=None) -> float:
@@ -100,7 +93,7 @@ def u_values(qd: QuadraticDifferential, z: complex, cut_tol: float = 1e-9) -> Sh
 
 
 def _u_batch(qd: QuadraticDifferential, zs: np.ndarray) -> np.ndarray:
-    zeta1 = np.asarray([_zeta1(complex(z)) for z in zs])
+    zeta1 = zeta_branch(zs)
     g1 = np.log(np.abs(zeta1))
     gf1 = _green_many(qd, list(zeta1))
     gf2 = _green_many(qd, list(1 / zeta1))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class SurfaceError(ValueError):
     pass
@@ -34,15 +36,16 @@ class SurfacePoint:
     on_cut: bool = False
 
 
-def _sqrt_branch(z: complex) -> complex:
-    """sqrt(z^2 - 1) with the branch that behaves like z at infinity, cut
-    along [-1, 1]."""
-    s = cmath.sqrt(z - 1) * cmath.sqrt(z + 1)
-    # left of -1 a negative-zero imaginary part puts the product on the other
-    # branch; the right one has |z + s| > 1
-    if abs(z + s) < 1:
-        s = -s
-    return s
+def zeta_branch(z):
+    """Inverse Zhukovskii map onto sheet 1: zeta = z + sqrt(z - 1) sqrt(z + 1),
+    or z minus that root when the sum has modulus below 1, so |zeta| >= 1
+    whatever branch the principal roots land on (signed zeros left of -1
+    included).  Works elementwise on arrays; a scalar gives a complex."""
+    z = np.asarray(z, dtype=complex)
+    s = np.sqrt(z - 1) * np.sqrt(z + 1)
+    zeta = z + s
+    zeta = np.where(np.abs(zeta) < 1, z - s, zeta)
+    return zeta if zeta.ndim else complex(zeta)
 
 
 def lift(z: complex, sheet: int, cut_side: int = +1) -> SurfacePoint:
@@ -63,8 +66,7 @@ def lift(z: complex, sheet: int, cut_side: int = +1) -> SurfacePoint:
         if sheet == 2:
             zeta = zeta.conjugate()
         return SurfacePoint(z=z, sheet=sheet, zeta=zeta, on_cut=True)
-    w = _sqrt_branch(z)
-    zeta = z + w  # |zeta| > 1 off the cut
+    zeta = zeta_branch(z)  # |zeta| > 1 off the cut
     if sheet == 2:
         zeta = 1 / zeta
     return SurfacePoint(z=z, sheet=sheet, zeta=zeta)

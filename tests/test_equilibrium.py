@@ -16,6 +16,7 @@ from hplab.equilibrium import (
     solve_equilibrium,
 )
 from hplab.hermite_pade import DiscreteMeasure
+from hplab.surface import zeta_branch
 
 
 def test_kernel_symmetry():
@@ -54,6 +55,21 @@ def test_log_cell_integral_endpoint_on_cell():
     val = _log_cell_integral(a, a, b)
     # \int_0^1 -2 log t dt = 2
     assert val == pytest.approx(2.0, rel=1e-12)
+
+
+def test_log_cell_integral_broadcasts():
+    a = np.asarray([0.3 + 0.2j, 0.0 + 0j, 1.0 + 1.0j, 0.5 - 0.5j])
+    b = np.asarray([0.9 - 0.1j, 1.0 + 0j, 1.0 + 1.0j, 0.6 - 0.5j])  # third cell empty
+    z = np.asarray([[1.5 + 0.5j], [0.0 + 0j], [0.5 + 0j], [0.6 - 0.5j]])  # two on endpoints
+    vals = _log_cell_integral(z, a, b)
+    assert vals.shape == (4, 4)
+    for i in range(4):
+        for j in range(4):
+            scalar = _log_cell_integral(complex(z[i, 0]), complex(a[j]), complex(b[j]))
+            assert isinstance(scalar, float)
+            assert vals[i, j] == pytest.approx(scalar, rel=1e-15, abs=1e-15)
+    assert np.all(vals[:, 2] == 0.0)
+    assert np.all(np.isfinite(vals))
 
 
 def test_cells_equal_arclength():
@@ -110,25 +126,40 @@ def test_residual_shrinks_under_refinement(arc_off_cut):
     assert res[2] < 0.4 * res[0]
 
 
-def _honest_energy(arc, n, w):
+def _honest_terms(arc, n):
+    """Scalar-loop reference for the solver's residual.  For a
+    piecewise-constant density w on the cell decomposition, the total
+    potential at the cell midpoints is K @ (w / lengths) + M @ w + v, with
+    the logarithmic part K integrated exactly over every cell; returns
+    (K, M, v, lengths), built one scalar call per entry."""
+    mids, cells, lengths = _cells(np.asarray(arc, dtype=complex), n)
+    phis = [zeta_branch(complex(z)) for z in mids]
+    K = np.asarray([[_log_cell_integral(complex(z), complex(a), complex(b)) for a, b in cells]
+                    for z in mids])
+    M = np.asarray([[math.log(abs(1 - p * q)) for q in phis] for p in phis])
+    v = np.asarray([math.log(abs(p)) for p in phis])
+    return K, M, v, lengths
+
+
+def _honest_potential(terms, w):
+    K, M, v, lengths = terms
+    return K @ (w / lengths) + M @ w + v
+
+
+def _honest_energy(terms, w):
     """Energy of a piecewise-constant density on the cell decomposition, with
     the logarithmic part integrated exactly over every cell."""
-    from hplab.equilibrium import _phi
+    return float(w @ _honest_potential(terms, w) + w @ terms[2])
 
-    mids, cells, lengths = _cells(np.asarray(arc, dtype=complex), n)
-    phis = [_phi(complex(z)) for z in mids]
-    v = [math.log(abs(p)) for p in phis]
-    total = 0.0
-    for i in range(n):
-        p = 0.0
-        for j in range(n):
-            dens = w[j] / lengths[j]
-            a, b = cells[j]
-            p += dens * _log_cell_integral(complex(mids[i]), complex(a), complex(b))
-            p += w[j] * math.log(abs(1 - phis[i] * phis[j]))
-        total += w[i] * p
-    total += 2 * float(np.dot(w, v))
-    return total
+
+def test_residual_matches_scalar_loop(arc_off_cut):
+    # n = 100 leaves rows 4..95 (int(100 * 0.1 / 2) rounds 4.99... down):
+    # 92 rows, two full blocks of 32 and a partial one
+    n = 100
+    rep = solve_equilibrium(arc_off_cut, n=n)
+    p = _honest_potential(_honest_terms(arc_off_cut, n), rep.weights)[4:96]
+    ref = np.average(p, weights=np.maximum(rep.weights[4:96], 1e-300))
+    assert rep.residual_sup == pytest.approx(float(np.max(np.abs(p - ref))), abs=1e-13)
 
 
 def test_energy_minimal_at_equilibrium(arc_off_cut):
@@ -137,15 +168,16 @@ def test_energy_minimal_at_equilibrium(arc_off_cut):
     perturbations on the same cells."""
     n = 120
     rep = solve_equilibrium(arc_off_cut, n=n)
-    base = _honest_energy(arc_off_cut, n, rep.weights)
+    terms = _honest_terms(arc_off_cut, n)
+    base = _honest_energy(terms, rep.weights)
     uniform = np.full(n, 1.0 / n)
-    assert _honest_energy(arc_off_cut, n, uniform) > base
+    assert _honest_energy(terms, uniform) > base
     rng = np.random.default_rng(3)
     for _ in range(3):
         w = rep.weights * (1 + 0.2 * rng.standard_normal(n))
         w = np.maximum(w, 1e-12)
         w /= w.sum()
-        assert _honest_energy(arc_off_cut, n, w) > base - 1e-12
+        assert _honest_energy(terms, w) > base - 1e-12
 
 
 def test_potential_energy_two_points():

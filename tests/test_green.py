@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hplab._kernels import JIT_ENABLED, integrate_path
+from hplab._kernels import integrate_path
 from hplab.green import (
     CircularArc,
     InadmissibleCandidate,
@@ -58,34 +58,72 @@ def test_kernel_square_root_singularity():
     assert abs(val) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_kernel_flag_is_boolean():
-    assert isinstance(JIT_ENABLED, bool)
+_BENT_NUM = [0.1 + 0.2j, 0.1 + 0.2j]
+_BENT_DEN = [0.3 + 0.4j, 0.3 - 0.4j]
+_BENT_PATH = [2.0 + 0j, 1.0 + 1.0j, -0.5 + 0j]
 
 
-def test_numpy_fallback_matches_jit_path():
-    """The HPLAB_NO_NUMBA=1 fallback must produce identical numbers."""
-    import json
-    import os
-    import subprocess
-    import sys
+def _continued_quad(num, den, pts, samples=400):
+    """mpmath quadrature of sqrt(V B)/B along a polyline, on the branch that
+    starts principal at pts[0] and is continued along the path: each segment
+    tabulates the continued root at ``samples`` points, and every quadrature
+    node takes the sign of the principal root that agrees with its nearest
+    tabulated value."""
+    mp.mp.dps = 30
 
-    num = [0.1 + 0.2j, 0.1 + 0.2j]
-    den = [0.3 + 0.4j, 0.3 - 0.4j]
-    here, _ = integrate_path(num, den, [2.0 + 0j, 1.0 + 1.0j, -0.5 + 0j])
-    code = (
-        "import json\n"
-        "from hplab._kernels import integrate_path, JIT_ENABLED\n"
-        "assert not JIT_ENABLED\n"
-        "v, _ = integrate_path([0.1+0.2j, 0.1+0.2j], [0.3+0.4j, 0.3-0.4j],"
-        " [2.0+0j, 1.0+1.0j, -0.5+0j])\n"
-        "print(json.dumps([v.real, v.imag]))\n"
-    )
-    env = dict(os.environ, HPLAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    re, im = json.loads(out.stdout.strip().splitlines()[-1])
-    assert complex(re, im) == pytest.approx(here, abs=1e-13)
+    def vb(t):
+        out = mp.mpc(1)
+        for r in num + den:
+            out *= t - r
+        return out
+
+    def b(t):
+        out = mp.mpc(1)
+        for r in den:
+            out *= t - r
+        return out
+
+    total = mp.mpc(0)
+    w = mp.sqrt(vb(mp.mpc(pts[0])))
+    for z0, z1 in zip(pts[:-1], pts[1:]):
+        z0, z1 = mp.mpc(z0), mp.mpc(z1)
+        table = []
+        for k in range(samples + 1):
+            ws = mp.sqrt(vb(z0 + (z1 - z0) * k / samples))
+            if mp.re(ws * mp.conj(w)) < 0:
+                ws = -ws
+            table.append(ws)
+            w = ws
+
+        def f(s, z0=z0, z1=z1, table=table):
+            ws = mp.sqrt(vb(z0 + (z1 - z0) * s))
+            if mp.re(ws * mp.conj(table[int(mp.nint(s * samples))])) < 0:
+                ws = -ws
+            return ws / b(z0 + (z1 - z0) * s) * (z1 - z0)
+
+        total += mp.quad(f, [0, 1])
+    mp.mp.dps = 15
+    return complex(total)
+
+
+def test_kernel_bent_path_against_continued_quadrature():
+    val, _ = integrate_path(_BENT_NUM, _BENT_DEN, _BENT_PATH)
+    ref = _continued_quad(_BENT_NUM, _BENT_DEN, _BENT_PATH)
+    assert abs(val - ref) < 1e-12
+
+
+def test_kernel_singular_at_both_ends():
+    # \int_{-1}^{1} dt / sqrt((t - 1)(t + 1)) = -+ i pi
+    val, _ = integrate_path([], [-1.0, 1.0], [-1.0 + 0j, 1.0 + 0j])
+    assert abs(val) == pytest.approx(math.pi, abs=1e-10)
+
+
+def test_kernel_branch_seed_flips_sign():
+    _, w = integrate_path(_BENT_NUM, _BENT_DEN, _BENT_PATH[:2])
+    rest, _ = integrate_path(_BENT_NUM, _BENT_DEN, _BENT_PATH[1:], w0=w)
+    flipped, _ = integrate_path(_BENT_NUM, _BENT_DEN, _BENT_PATH[1:], w0=-w)
+    assert abs(rest) > 0.1
+    assert flipped == pytest.approx(-rest, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

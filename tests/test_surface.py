@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from hplab.surface import (
     lift,
     phi,
     project,
+    zeta_branch,
 )
 
 
@@ -139,3 +141,19 @@ def test_lift_negative_zero_imaginary_part():
     assert lift(z, 1).zeta == pytest.approx(-2 - math.sqrt(3))
     assert lift(z, 2).zeta == pytest.approx(1 / (-2 - math.sqrt(3)))
     assert green_signed(lift(z, 1)) == pytest.approx(math.log(2 + math.sqrt(3)))
+
+
+def test_zeta_branch_vectorised_matches_lift():
+    rng = np.random.default_rng(11)
+    pts = list(3 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)))
+    # real points left of -1 with either sign of zero imaginary part
+    for x in -1 - 4 * rng.random(20):
+        pts += [complex(x, 0.0), complex(x, -0.0)]
+    zs = np.asarray(pts)
+    zetas = zeta_branch(zs)
+    assert zetas.shape == zs.shape
+    for z, zeta in zip(pts, zetas):
+        ref = lift(z, 1).zeta
+        assert abs(zeta - ref) <= 1e-15 * abs(ref)
+        assert abs(zeta_branch(z) - zeta) <= 1e-15 * abs(zeta)
+        assert abs(zeta) > 1
