@@ -94,7 +94,7 @@ def _segment(num_roots, den_roots, base, other, x0, x1, squared, w_in):
     return complex(total), complex(ws[-1])
 
 
-def integrate_path(num_roots, den_roots, waypoints, singular=None, w0=0j):
+def integrate_path(num_roots, den_roots, waypoints, w0=0j):
     """Integral of sqrt(V/B) along the polyline ``waypoints``, with branch
     continuity carried across segments.  Returns (integral, final sqrt
     state).
@@ -105,20 +105,16 @@ def integrate_path(num_roots, den_roots, waypoints, singular=None, w0=0j):
         Roots of the monic numerator V and denominator B.
     waypoints : sequence of complex
         Polyline vertices; interior vertices must stay away from all roots.
-    singular : sequence of bool, optional
-        Marks waypoints that coincide with roots (endpoint singularities).
-        Default: detected by proximity (< 1e-9).
+        A vertex within _ENDPOINT_EPS of a root is taken as that root, and
+        its segments are integrated under the squared substitution.
     w0 : complex
         Branch seed for sqrt(V*B) at the first quadrature node (0 = principal).
     """
     nr = [complex(r) for r in num_roots]
     dr = [complex(r) for r in den_roots]
     pts = [complex(p) for p in waypoints]
-    if singular is None:
-        allr = nr + dr
-        sing = [bool(allr) and min(abs(r - p) for r in allr) < _ENDPOINT_EPS for p in pts]
-    else:
-        sing = [bool(s) for s in singular]
+    allr = nr + dr
+    sing = [bool(allr) and min(abs(r - p) for r in allr) < _ENDPOINT_EPS for p in pts]
     total = 0j
     w = complex(w0)
     for i in range(len(pts) - 1):

@@ -19,7 +19,6 @@ All outputs are deterministic for a fixed config; CSV files carry
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -271,13 +270,7 @@ def _cmd_green(args, cfg_hash):
     doc = {"robin_path_integral": ev.robin, "capacity": ev.capacity, "seed": 11}
     if len(qd.denominator_roots) == 2:
         a, b = (complex(r) for r in qd.denominator_roots)
-        if abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12:
-            _, gamma_bie = gr.segment_capacity_robin(a.real, b.real)
-        else:
-            curve = lambda x: (a + b) / 2 + (b - a) / 2 * x
-            dcurve = lambda x: (b - a) / 2
-            _, gamma_bie, _, _ = gr.capacity_robin(curve, dcurve)
-        doc["robin_boundary_integral"] = gamma_bie
+        _, doc["robin_boundary_integral"] = gr.segment_capacity_robin(a, b)
         L = abs(b - a)
         arcs = [gr.CircularArc(a, b, s) for s in (0.2 * L, -0.3 * L, 0.45 * L)]
         cmp = gr.robin_compare(qd, arcs)

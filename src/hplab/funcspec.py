@@ -128,11 +128,6 @@ class FunctionSpec:
             return self.intervals[1]
         return None
 
-    def is_conjugate_real(self) -> bool:
-        """True when every parameter set is closed under conjugation, which
-        forces the Laurent coefficients of the germ to be real."""
-        return True  # enforced by validate_spec
-
 
 @dataclass(frozen=True)
 class BranchData:

@@ -166,79 +166,52 @@ def _kress_weights(n: int) -> np.ndarray:
     return -(4 * math.pi / n) * w
 
 
-def capacity_robin(curve, dcurve, n: int = 256):
-    """Logarithmic capacity and Robin constant of the analytic arc
-    ``curve(x)``, x in [-1, 1], by the Symm integral equation.
+def _symm_grid(n: int):
+    """Quantities of the Symm solve that depend only on the grid size n:
+    theta, the Kress part of a self-interaction block, the product of the
+    sine factors, and the masks of the entries off and on the diagonals
+    tau = +-theta.
 
-    The cosine substitution Z(theta) = curve(cos theta) double-covers the arc
-    and absorbs the endpoint density singularity; the periodic logarithmic
-    kernel is integrated with spectral (Kress) weights.  Returns
-    (capacity, robin, nodes, density) where ``density`` is the equilibrium
-    density with respect to d(theta)/(2 pi) on the double cover.
+    Kept apart from :func:`_symm_solve` so that its n x n index and sine
+    temporaries are freed before the system is assembled.  A larger peak
+    made the allocator trim the heap after every solve and fault about 5 MB
+    back in on the next one (n = 256).
     """
-    if n % 2:
-        raise ValueError("n must be even")
     theta = 2 * math.pi * (np.arange(n) + 0.5) / n
-    x = np.cos(theta)
-    z = np.asarray([complex(curve(xi)) for xi in x])
-    dz = np.asarray([complex(dcurve(xi)) for xi in x])
-
     wk = _kress_weights(n)
-
     # grid offsets: theta_i - theta_j = 2 pi (i - j)/n ; theta_i + theta_j =
     # 2 pi (i + j + 1)/n, both multiples of 2 pi / n
     idx = np.arange(n)
     diff = (idx[:, None] - idx[None, :]) % n
     summ = (idx[:, None] + idx[None, :] + 1) % n
-
-    dmat = np.abs(z[:, None] - z[None, :])
-    sin_d = np.abs(2 * np.sin((theta[:, None] - theta[None, :]) / 2))
-    sin_s = np.abs(2 * np.sin((theta[:, None] + theta[None, :]) / 2))
-    smooth = np.empty((n, n))
+    kress = 0.5 * wk[diff] + 0.5 * wk[summ]
+    sin_ds = np.abs(2 * np.sin((theta[:, None] - theta[None, :]) / 2)) * np.abs(
+        2 * np.sin((theta[:, None] + theta[None, :]) / 2)
+    )
     off = ~np.eye(n, dtype=bool) & (summ != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth[off] = np.log(dmat[off] / (sin_d[off] * sin_s[off]))
-    # tau -> theta and tau -> -theta limits: log(|curve'(cos theta)| / 2)
-    lim = np.log(np.abs(dz) * np.abs(np.sin(theta)) / (2 * np.abs(np.sin(theta))))
-    ii = np.where(~off)
-    smooth[ii] = lim[ii[0]]
-
-    mat = 0.5 * wk[diff] + 0.5 * wk[summ] + (2 * math.pi / n) * smooth
-
-    sys = np.zeros((n + 1, n + 1))
-    sys[:n, :n] = mat
-    sys[:n, n] = 1.0
-    sys[n, :n] = 2 * math.pi / n
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    sol = np.linalg.solve(sys, rhs)
-    density = sol[:n]
-    gamma = sol[n]
-    return math.exp(-gamma), gamma, z, density
+    return theta, kress, sin_ds, off, np.where(~off)
 
 
-def capacity_robin_multi(curves, dcurves, n: int = 128):
-    """Capacity and Robin constant of a disjoint union of analytic arcs.
+def _symm_solve(curves, dcurves, n: int):
+    """Symm equation for the equilibrium density of a disjoint union of
+    analytic arcs, each given as ``curve(x)``, x in [-1, 1].
 
-    Each arc is parametrized over [-1, 1] as in :func:`capacity_robin`; the
-    self-interaction blocks use the spectral Kress treatment, the
-    cross-component blocks plain trapezoid weights (the kernel is smooth
-    there).  Returns (capacity, robin).
+    The cosine substitution Z(theta) = curve(cos theta) double-covers each
+    arc and absorbs the endpoint density singularity.  On its own arc the
+    logarithmic kernel is split as log(4 sin^2) terms, integrated with
+    spectral (Kress) weights, plus a smooth part whose limits at
+    tau = +-theta are log(|curve'(cos theta)| / 2); between arcs the kernel
+    is smooth and takes plain trapezoid weights.  Returns (robin, nodes,
+    density) with ``density`` taken with respect to d(theta)/(2 pi) on the
+    double covers, arc after arc.
     """
     if n % 2:
         raise ValueError("n must be even")
     k = len(curves)
-    theta = 2 * math.pi * (np.arange(n) + 0.5) / n
+    theta, kress, sin_ds, off, ii = _symm_grid(n)
     x = np.cos(theta)
     zs = [np.asarray([complex(c(xi)) for xi in x]) for c in curves]
     dzs = [np.asarray([complex(dc(xi)) for xi in x]) for dc in dcurves]
-
-    wk = _kress_weights(n)
-    idx = np.arange(n)
-    diff = (idx[:, None] - idx[None, :]) % n
-    summ = (idx[:, None] + idx[None, :] + 1) % n
-    sin_d = np.abs(2 * np.sin((theta[:, None] - theta[None, :]) / 2))
-    sin_s = np.abs(2 * np.sin((theta[:, None] + theta[None, :]) / 2))
 
     big = np.zeros((k * n + 1, k * n + 1))
     for a in range(k):
@@ -247,13 +220,10 @@ def capacity_robin_multi(curves, dcurves, n: int = 128):
             if a == b:
                 dmat = np.abs(zs[a][:, None] - zs[a][None, :])
                 smooth = np.empty((n, n))
-                off = ~np.eye(n, dtype=bool) & (summ != 0)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    smooth[off] = np.log(dmat[off] / (sin_d[off] * sin_s[off]))
-                lim = np.log(np.abs(dzs[a]) / 2)
-                ii = np.where(~off)
-                smooth[ii] = lim[ii[0]]
-                big[blk] = 0.5 * wk[diff] + 0.5 * wk[summ] + (2 * math.pi / n) * smooth
+                    smooth[off] = np.log(dmat[off] / sin_ds[off])
+                smooth[ii] = np.log(np.abs(dzs[a]) / 2)[ii[0]]
+                big[blk] = kress + (2 * math.pi / n) * smooth
             else:
                 big[blk] = (2 * math.pi / n) * np.log(
                     np.abs(zs[a][:, None] - zs[b][None, :])
@@ -263,13 +233,34 @@ def capacity_robin_multi(curves, dcurves, n: int = 128):
     rhs = np.zeros(k * n + 1)
     rhs[k * n] = 1.0
     sol = np.linalg.solve(big, rhs)
-    gamma = float(sol[k * n])
+    return float(sol[k * n]), np.concatenate(zs), sol[: k * n]
+
+
+def capacity_robin(curve, dcurve, n: int = 256):
+    """Logarithmic capacity and Robin constant of the analytic arc
+    ``curve(x)``, x in [-1, 1], by the Symm integral equation
+    (:func:`_symm_solve`).  Returns (capacity, robin, nodes, density) where
+    ``density`` is the equilibrium density with respect to d(theta)/(2 pi)
+    on the double cover.
+    """
+    gamma, z, density = _symm_solve([curve], [dcurve], n)
+    return math.exp(-gamma), gamma, z, density
+
+
+def capacity_robin_multi(curves, dcurves, n: int = 128):
+    """Capacity and Robin constant of a disjoint union of analytic arcs, each
+    parametrized over [-1, 1] as in :func:`capacity_robin`.  Returns
+    (capacity, robin).
+    """
+    gamma, _, _ = _symm_solve(curves, dcurves, n)
     return math.exp(-gamma), gamma
 
 
-def segment_capacity_robin(a: float, b: float, n: int = 256):
+def segment_capacity_robin(a: complex, b: complex, n: int = 256):
+    """Capacity and Robin constant of the straight segment from ``a`` to
+    ``b`` (real or complex endpoints) by the Symm solve."""
     m, h = (a + b) / 2, (b - a) / 2
-    cap, gamma, z, rho = capacity_robin(lambda x: m + h * x, lambda x: h, n)
+    cap, gamma, _, _ = capacity_robin(lambda x: m + h * x, lambda x: h, n)
     return cap, gamma
 
 
@@ -340,6 +331,13 @@ class CircularArc:
         curve, _ = self.parametrization()
         return np.asarray([curve(x) for x in np.linspace(-1, 1, n)])
 
+    @property
+    def _beta(self) -> float:
+        """Direction of the ray that T(t) = (t - a)/(t - b) maps the arc onto."""
+        a, b = complex(self.a), complex(self.b)
+        apex = (a + b) / 2 + 1j * (b - a) / abs(b - a) * self.sagitta
+        return cmath.phase((apex - a) / (apex - b))
+
     def green(self, z: complex) -> float:
         """Exact Green function (pole at infinity) of the arc complement.
 
@@ -349,9 +347,7 @@ class CircularArc:
         function is explicit.
         """
         a, b = complex(self.a), complex(self.b)
-        center, r = self.center_radius
-        apex = (a + b) / 2 + 1j * (b - a) / abs(b - a) * self.sagitta
-        beta = cmath.phase((apex - a) / (apex - b))
+        beta = self._beta
         z = complex(z)
         if z == b:
             return 0.0
@@ -368,11 +364,14 @@ class CircularArc:
         return val
 
     def robin(self) -> float:
-        """Robin constant by Richardson extrapolation of g(R) - log R."""
-        rs = np.asarray([1e3, 1e4, 1e5])
-        ys = np.asarray([self.green(complex(R, R * 1e-3)) - math.log(abs(complex(R, R * 1e-3))) for R in rs])
-        a = np.vstack([np.ones(3), 1 / rs, 1 / rs**2]).T
-        return float(np.linalg.solve(a, ys)[0])
+        """Exact Robin constant log(4 |sin(beta/2)| / |b - a|).
+
+        As z -> infinity in :meth:`green`, |s - s0| ~ |b - a| / (2 |z|) and
+        |s0 - conj s0| = 2 |sin(beta/2)|, so g(z) - log|z| tends to this
+        value; it is minus the log of the classical arc capacity
+        r sin(alpha/4), alpha the arc's central angle.
+        """
+        return math.log(4 * abs(math.sin(self._beta / 2)) / abs(self.b - self.a))
 
 
 # ---------------------------------------------------------------------------

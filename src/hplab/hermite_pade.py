@@ -47,11 +47,8 @@ class HPSolution:
     family_size: int
     degree: int
     polys: tuple  # k coefficient vectors, ascending degree, length n+1
-    achieved_order: int
-    normalization: str
     precision_bits: int
     degenerate_kernel: bool = False
-    extra_kernel: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -148,27 +145,24 @@ def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
                     if 0 <= idx < len(cj):
                         row[j * (n + 1) + i] = cj[idx]
             rows.append(row)
-        kernel, degenerate, extra = _null_vectors(rows, n_rows, n_cols, prec)
+        kernel, degenerate = _null_vectors(rows, n_rows, n_cols, prec)
         polys = _split_and_normalize(kernel, k, n, prec)
-        extra_polys = tuple(_split_and_normalize(v, k, n, prec) for v in extra)
 
     return HPSolution(
         family_size=k,
         degree=n,
         polys=polys,
-        achieved_order=order,
-        normalization="trailing coefficient of first nonzero polynomial = 1",
         precision_bits=prec,
         degenerate_kernel=degenerate,
-        extra_kernel=extra_polys,
     )
 
 
 def _null_vectors(rows, n_rows, n_cols, prec):
     """Kernel of the (n_rows x n_cols) matrix by column-pivoted elimination.
 
-    Returns one kernel vector, a degeneracy flag, and any further kernel
-    vectors when pivots fall below the 2^{-prec/2} relative threshold.
+    Returns one kernel vector and a degeneracy flag, set when pivots fall
+    below the 2^{-prec/2} relative threshold before the kernel is one
+    dimensional.
     """
     a = [row[:] for row in rows]
     col_of = list(range(n_cols))
@@ -219,9 +213,7 @@ def _null_vectors(rows, n_rows, n_cols, prec):
             out[col] = x[pos]
         return out
 
-    vectors = [back_substitute(c) for c in free]
-    degenerate = len(vectors) > 1
-    return vectors[0], degenerate, tuple(vectors[1:])
+    return back_substitute(free[0]), len(free) > 1
 
 
 def _split_and_normalize(vec, k, n, prec):

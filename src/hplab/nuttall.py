@@ -52,11 +52,9 @@ class NuttallReport:
     slope_stderr: float
 
 
-def _cut_distance(qd: QuadraticDifferential, z: complex, nodes=None) -> float:
+def _cut_distance(z: complex, nodes: np.ndarray) -> float:
     """Distance to the visible cuts: the base segment [-1, 1] and the
-    z-projections of the continuum on both sheets."""
-    if nodes is None:
-        nodes = _projection_nodes(qd)
+    z-projections ``nodes`` of the continuum (:func:`_projection_nodes`)."""
     d = _dist_segment(z, -1.0, 1.0)
     if len(nodes):
         d = min(d, float(np.min(np.abs(nodes - z))))
@@ -85,7 +83,7 @@ def u_values(qd: QuadraticDifferential, z: complex, cut_tol: float = 1e-9) -> Sh
     """Sheet functions at a single point; raises OnCut within ``cut_tol`` of
     a cut, where consecutive values coincide."""
     z = complex(z)
-    if _cut_distance(qd, z, _projection_nodes(qd)) < cut_tol:
+    if _cut_distance(z, _projection_nodes(qd)) < cut_tol:
         raise OnCut(f"{z} lies on (or within {cut_tol} of) a cut")
     u = _u_batch(qd, np.asarray([z]))[0]
     gaps = (u[1] - u[0], u[2] - u[1], u[3] - u[2])
@@ -114,7 +112,7 @@ def default_grid(qd: QuadraticDifferential, n: int = 10_000, seed: int = 7,
     while len(pts) < n:
         cand = (rng.random(2 * n) * 2 - 1) * box + 1j * (rng.random(2 * n) * 2 - 1) * box
         for z in cand:
-            if _cut_distance(qd, complex(z), nodes) > cut_margin:
+            if _cut_distance(complex(z), nodes) > cut_margin:
                 pts.append(complex(z))
                 if len(pts) == n:
                     break

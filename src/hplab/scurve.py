@@ -27,6 +27,9 @@ import numpy as np
 
 from ._kernels import integrate_path
 
+# RK4 step as a fraction of the distance to the nearest root
+_STEP_SCALE = 0.02
+
 
 class SCurveError(RuntimeError):
     pass
@@ -79,16 +82,13 @@ class QuadraticDifferential:
 
 @dataclass(frozen=True)
 class CompactSet:
-    """Traced extremal compact: one sampled arc per conjugate pair.
-
-    ``pairing`` maps each arc to its (start, end) endpoints; ``location``
-    tags the coordinate chart the points live in."""
+    """Traced extremal compact in the zeta-plane: one sampled arc per
+    conjugate pair.  ``pairing`` maps each arc to its (start, end)
+    endpoints."""
 
     arcs: tuple  # tuple of complex ndarrays
     endpoints: tuple
-    junctions: tuple  # the double zeros (off the arcs in general position)
     pairing: tuple = ()
-    location: str = "zeta-plane"
 
     def all_points(self) -> np.ndarray:
         return np.concatenate([np.asarray(a) for a in self.arcs])
@@ -251,30 +251,23 @@ def _launch_angle(qd: QuadraticDifferential, a: complex) -> float:
     return math.pi - cmath.phase(c)
 
 
-def trace_trajectory(
-    qd: QuadraticDifferential,
-    start: complex,
-    max_length: float | None = None,
-    step_scale: float = 0.05,
-    snap_tol: float | None = None,
-    escape_radius: float | None = None,
-):
+def trace_trajectory(qd: QuadraticDifferential, start: complex):
     """Trace the trajectory of -Q dt^2 leaving the endpoint ``start``.
 
     Follows the unit-speed field along which sqrt(Q) dt is purely imaginary,
-    with the branch of sqrt(Q) carried continuously.  Stops when another
+    with the branch of sqrt(Q) carried continuously, by RK4 steps of
+    _STEP_SCALE times the distance to the nearest root.  Stops when another
     endpoint is reached (snapped exactly) and returns (arc, endpoint); raises
-    TrajectoryEscaped / EndpointMismatch / NotGeneralPosition otherwise.
+    TrajectoryEscaped past |t| = 100 scale + max|root|, EndpointMismatch past
+    length 50 scale, or NotGeneralPosition otherwise, where scale is the
+    diameter of the endpoint set.
     """
     den = list(qd.denominator_roots)
     dz = list(qd.double_zeros)
     scale = _scale_of(den)
-    if max_length is None:
-        max_length = 50 * scale
-    if snap_tol is None:
-        snap_tol = 1e-9 * scale
-    if escape_radius is None:
-        escape_radius = 100 * scale + max(abs(r) for r in den + dz or den)
+    max_length = 50 * scale
+    snap_tol = 1e-9 * scale
+    escape_radius = 100 * scale + max(abs(r) for r in den + dz or den)
 
     theta = _launch_angle(qd, start)
     eps = 1e-10 * scale
@@ -297,7 +290,7 @@ def trace_trajectory(
     length = eps
     for _ in range(2_000_000):
         dmin = min(abs(z - r) for r in den)
-        if dmin < snap_tol or (length > 10 * snap_tol and dmin < step_scale * scale * 1e-3):
+        if dmin < snap_tol or (length > 10 * snap_tol and dmin < _STEP_SCALE * scale * 1e-3):
             target = min(den, key=lambda r: abs(z - r))
             if abs(target - start) > 1e-14 and dmin < 1e-4 * scale:
                 pts.append(complex(target))
@@ -309,7 +302,7 @@ def trace_trajectory(
                     "trajectory ran into a double zero (separatrix configuration)"
                 )
             dmin = min(dmin, dj)
-        h = step_scale * min(max(dmin, 1e-12), 0.5 * scale)
+        h = _STEP_SCALE * min(max(dmin, 1e-12), 0.5 * scale)
         state = w_prev[0]
         k1 = field(z)
         w_prev[0] = state
@@ -335,8 +328,7 @@ def trace_trajectory(
     raise EndpointMismatch("step limit exhausted")
 
 
-def trace_compact(qd: QuadraticDifferential, step_scale: float = 0.02,
-                  location: str = "zeta-plane") -> CompactSet:
+def trace_compact(qd: QuadraticDifferential) -> CompactSet:
     """Trace one arc per conjugate pair (from the upper point) and verify the
     within-pair landing and pairwise disjointness."""
     scale = _scale_of(qd.denominator_roots)
@@ -348,20 +340,14 @@ def trace_compact(qd: QuadraticDifferential, step_scale: float = 0.02,
     arcs, pairing = [], []
     landed = set()
     for a in starts:
-        arc, target = trace_trajectory(qd, a, step_scale=step_scale)
+        arc, target = trace_trajectory(qd, a)
         arcs.append(arc)
         pairing.append((a, target))
         landed.update((a, target))
     missing = [r for r in den if r not in landed]
     if missing:
         raise EndpointMismatch(f"endpoints {missing} are not covered by any arc")
-    comp = CompactSet(
-        arcs=tuple(arcs),
-        endpoints=tuple(den),
-        junctions=qd.double_zeros,
-        pairing=tuple(pairing),
-        location=location,
-    )
+    comp = CompactSet(arcs=tuple(arcs), endpoints=tuple(den), pairing=tuple(pairing))
     _check_disjoint(comp, scale)
     return comp
 

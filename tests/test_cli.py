@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,23 @@ def test_green_outputs(spec_file_z, tmp_path):
     assert report["comparison"]["labels"][0] == "extremal"
     grid = (out / "green_grid.csv").read_text().splitlines()
     assert len(grid) == 3 + 20
+
+
+def test_green_outputs_complex_pair(tmp_path):
+    # A = 0.5 +- 2i: the images of the branch points are a conjugate pair,
+    # joined by the chord, with Robin constant log(17/4)
+    spec = tmp_path / "spec_c.json"
+    spec.write_text(json.dumps(
+        {"class": "Z", "A": [["0.5", "2"], ["0.5", "-2"]], "alpha": ["-1/2", "-1/2"]}
+    ))
+    out = tmp_path / "out"
+    rc = main(["green", "--spec", str(spec), "--out", str(out), "--grid", "20:1.5"])
+    assert rc == 0
+    report = json.loads((out / "green_report.json").read_text())
+    assert abs(report["robin_path_integral"] - math.log(17 / 4)) < 1e-10
+    assert abs(report["robin_boundary_integral"] - math.log(17 / 4)) < 1e-10
+    assert report["comparison"]["labels"][0] == "extremal"
+    assert report["comparison"]["extremal_label"] == "extremal"
 
 
 def test_nuttall_outputs(spec_file_z, tmp_path):

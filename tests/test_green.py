@@ -137,6 +137,9 @@ def test_segment_capacity_exact():
     assert gamma == pytest.approx(math.log(2.0), abs=1e-13)
     cap2, gamma2 = segment_capacity_robin(0.25, 0.75)
     assert cap2 == pytest.approx(0.125, abs=1e-13)
+    # complex endpoints: a vertical segment of length 0.6
+    cap3, _ = segment_capacity_robin(0.5 - 0.3j, 0.5 + 0.3j)
+    assert cap3 == pytest.approx(0.15, abs=1e-13)
 
 
 def test_two_symmetric_intervals_capacity_exact():
@@ -290,6 +293,14 @@ def test_circular_arc_robin_vs_bie():
     curve, dcurve = arc.parametrization()
     _, gamma_bie, _, _ = capacity_robin(curve, dcurve, n=256)
     assert arc.robin() == pytest.approx(gamma_bie, abs=1e-7)
+
+
+def test_tilted_circular_arc_robin_vs_bie():
+    # the closed form on an arc whose chord is neither real nor centred
+    arc = CircularArc(1 / 3 + 0.1j, 1 / 2 - 0.05j, 0.03)
+    curve, dcurve = arc.parametrization()
+    _, gamma_bie, _, _ = capacity_robin(curve, dcurve, n=512)
+    assert abs(arc.robin() - gamma_bie) < 1e-13
 
 
 def test_circular_arc_rejects_zero_sagitta():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,7 +7,6 @@ import pytest
 import hplab.hermite_pade as hp_mod
 from hplab.hermite_pade import (
     DiscreteMeasure,
-    HPSolution,
     HermitePadeError,
     InsufficientGermLength,
     OrderShortfall,
@@ -121,14 +122,7 @@ def test_order_shortfall_on_tampered_solution(germs_z):
     # perturb one coefficient: the residual order must collapse
     polys = [list(p) for p in sol.polys]
     polys[1][0] += mp.mpf("1e-3")
-    bad = HPSolution(
-        family_size=sol.family_size,
-        degree=sol.degree,
-        polys=tuple(tuple(p) for p in polys),
-        achieved_order=sol.achieved_order,
-        normalization=sol.normalization,
-        precision_bits=sol.precision_bits,
-    )
+    bad = dataclasses.replace(sol, polys=tuple(tuple(p) for p in polys))
     with pytest.raises(OrderShortfall):
         residual_order(bad, [f, f2], precision_bits=PREC)
 
