@@ -8,6 +8,7 @@ stahl        extremal-compact solve + trajectory trace + admissibility
 green        Green-function grid + Robin constants by both routes + ranking
 nuttall      sheet-function grid report
 equilibrium  equilibrium measure + residual + distance to Hermite-Pade zeros
+             (compacts of one arc only)
 figure-data  zero clouds (Pade + Hermite-Pade) and the traced compact
 
 Exit status: 0 success, 1 input/spec error, 2 numeric-contract failure.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -326,7 +326,11 @@ def _projected_arc(comp) -> np.ndarray:
 
 def _cmd_equilibrium(args, cfg_hash):
     spec = _load_spec(args.spec)
-    qd, comp = _solve_compact(spec, args.tol)
+    _, comp = _solve_compact(spec, args.tol)
+    if len(comp.arcs) > 1:
+        raise SpecError(
+            f"equilibrium solves on one arc; this spec's compact has {len(comp.arcs)}"
+        )
     n_cells = args.n or 400
     arc_z = _projected_arc(comp)
     rep = eq.solve_equilibrium(arc_z, n_cells)

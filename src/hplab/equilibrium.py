@@ -13,11 +13,12 @@ over probability measures on the arc; at the minimum the total potential
 P(z) = \\int K(z, t) dlambda(t) + V(z) is constant on the support.
 
 The solver discretizes the arc into equal-arclength cells with a lumped
-diagonal and solves the stationarity system directly (falling back to
-projected gradient if any cell weight turns negative).  The reported residual
-re-evaluates the potential of the piecewise-constant density honestly - with
-the logarithmic part integrated in closed form over every cell - so it
-reflects the true discretization error and shrinks under refinement.
+diagonal and solves the stationarity system directly.  A negative cell weight
+means the arc is not the support of the equilibrium measure, and raises
+NegativeDensity.  The reported residual re-evaluates the potential of the
+piecewise-constant density honestly - with the logarithmic part integrated in
+closed form over every cell - so it reflects the true discretization error and
+shrinks under refinement.
 """
 
 from __future__ import annotations
@@ -34,13 +35,17 @@ from .surface import zeta_branch
 # 32 x n entries, so peak memory stays that of the n x n system
 _BLOCK_ROWS = 32
 
+# share of the cells, centred on the arc, over which the residual is taken
+_INTERIOR_FRACTION = 0.9
+
 
 class EquilibriumError(RuntimeError):
     pass
 
 
 class NegativeDensity(EquilibriumError):
-    pass
+    """The stationarity system gave a negative cell weight: the arc is not
+    the support of the equilibrium measure."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,6 @@ class EnergyReport:
         return DiscreteMeasure(
             support=tuple(complex(z) for z in self.nodes),
             weights=tuple(float(w) for w in self.weights),
-            plane="z",
         )
 
 
@@ -81,17 +85,16 @@ def potential(measure: DiscreteMeasure, z: complex) -> float:
     return total + external_field(z)
 
 
-def potential_energy(measure: DiscreteMeasure, self_energy: bool = False) -> float:
-    """J(mu) for a discrete measure (off-diagonal pairs only unless
-    ``self_energy``, since point masses have infinite self-interaction)."""
+def potential_energy(measure: DiscreteMeasure) -> float:
+    """J(mu) for a discrete measure, over off-diagonal pairs only, since point
+    masses have infinite self-interaction."""
     pts = [complex(t) for t in measure.support]
     w = np.asarray(measure.weights)
     total = 0.0
     for i in range(len(pts)):
         for j in range(len(pts)):
-            if i == j and not self_energy:
-                continue
-            total += w[i] * w[j] * interaction_kernel(pts[i], pts[j])
+            if i != j:
+                total += w[i] * w[j] * interaction_kernel(pts[i], pts[j])
     return float(total + 2 * np.dot(w, [external_field(t) for t in pts]))
 
 
@@ -143,13 +146,14 @@ def _log_cell_integral(z, a, b):
     return out if out.ndim else float(out)
 
 
-def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> EnergyReport:
+def solve_equilibrium(arc, n: int = 400) -> EnergyReport:
     """Equilibrium measure of the kernel-plus-field problem on the arc.
 
     ``arc`` is a polyline (sequence of complex points) staying off [-1, 1].
-    The density is piecewise constant on n equal-arclength cells.  The
-    residual is the sup over interior cell midpoints of the deviation of the
-    honestly re-evaluated total potential from its weighted mean.  That
+    The density is piecewise constant on n equal-arclength cells; a negative
+    cell weight raises NegativeDensity.  The residual is the sup over the
+    central ``_INTERIOR_FRACTION`` of the cell midpoints of the deviation of
+    the honestly re-evaluated total potential from its weighted mean.  That
     re-evaluation takes the interior rows in blocks of ``_BLOCK_ROWS``: per
     block, one array of exact cell integrals of -2 log|z - t| times the
     densities, plus log|1 - Phi(z) Phi(t)| times the weights, plus the field.
@@ -176,12 +180,14 @@ def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> Ener
     w = sol[:n]
     c = float(sol[n])
     if np.any(w < 0):
-        w, c = _projected_gradient(g, v, w)
+        raise NegativeDensity(
+            f"cell weight {float(w.min()):.3e} < 0: the arc is not the support"
+        )
 
     energy = float(w @ g @ w + 2 * v @ w)
 
     # honest residual: piecewise-constant density, exact log integrals
-    lo = int(n * (1 - interior_fraction) / 2)
+    lo = int(n * (1 - _INTERIOR_FRACTION) / 2)
     hi = n - lo
     a, b = np.asarray(cells).T
     dens = w / lengths
@@ -193,8 +199,7 @@ def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> Ener
             + np.log(np.abs(1 - phis[rows, None] * phis)) @ w
             + v[rows]
         )
-    wmid = w[lo:hi]
-    ref = float(np.average(pvals, weights=np.maximum(wmid, 1e-300)))
+    ref = float(np.average(pvals, weights=w[lo:hi]))
     residual = float(np.max(np.abs(pvals - ref)))
 
     return EnergyReport(
@@ -207,57 +212,22 @@ def solve_equilibrium(arc, n: int = 400, interior_fraction: float = 0.9) -> Ener
     )
 
 
-def _projected_gradient(g, v, w0, max_iter=5000, tol=1e-12):
-    """Minimize w^T G w + 2 v^T w over the probability simplex."""
-    n = len(v)
-    w = np.maximum(np.asarray(w0), 0.0)
-    if w.sum() == 0:
-        w = np.full(n, 1.0 / n)
-    w /= w.sum()
-    for _ in range(max_iter):
-        grad = 2 * (g @ w + v)
-        # project gradient onto the simplex tangent at w (active set: w > 0)
-        active = w > 0
-        gbar = grad - grad[active].mean()
-        direction = -gbar
-        direction[~active & (direction < 0)] = 0.0
-        if np.max(np.abs(direction)) < tol:
-            break
-        # exact line search for the quadratic along the direction
-        gd = g @ direction
-        denom = direction @ gd
-        step = -(grad @ direction) / (2 * denom) if denom > 0 else 1e-3
-        step = max(step, 0.0)
-        # stay feasible
-        shrink = np.where(direction < 0, -w / np.minimum(direction, -1e-300), np.inf)
-        step = min(step, float(np.min(shrink)))
-        if step <= 0:
-            break
-        w = np.maximum(w + step * direction, 0.0)
-        w /= w.sum()
-    grad = 2 * (g @ w + v)
-    c = float(grad[w > 0].mean() / 2)
-    return w, c
-
-
-def measure_distance(mu: DiscreteMeasure, ref: DiscreteMeasure, band: float | None = None) -> float:
+def measure_distance(mu: DiscreteMeasure, ref: DiscreteMeasure) -> float:
     """Distance between a discrete measure and a reference measure supported
     on (or near) a real segment of the base plane.
 
-    Both measures are pushed to the z plane; the reference segment is the
-    real hull of the reference support.  The value is the Kolmogorov-Smirnov
-    distance of the projected distribution functions plus the ``mu`` mass
-    sitting farther than ``band`` from the segment (default: 10% of its
-    length).  Identical measures give 0; a point mass at the midpoint against
-    the uniform measure gives 0.5.
+    The reference segment is the real hull of the reference support.  The
+    value is the Kolmogorov-Smirnov distance of the distribution functions
+    projected onto it plus the ``mu`` mass sitting farther than 10% of its
+    length from it.  Identical measures give 0; a point mass at the midpoint
+    against the uniform measure gives 0.5.
     """
     zs = mu.projected_z()
     zr = ref.projected_z()
     a, b = float(np.min(zr.real)), float(np.max(zr.real))
     if b <= a:
         raise EquilibriumError("reference measure must span a nondegenerate segment")
-    if band is None:
-        band = 0.1 * (b - a)
+    band = 0.1 * (b - a)
 
     wm = np.asarray(mu.weights)
     wr = np.asarray(ref.weights)

@@ -33,9 +33,14 @@ import numpy as np
 
 from ._kernels import integrate_path
 from .scurve import QuadraticDifferential, route_around
+from .surface import zeta_branch
 
 # Laurent terms of the far field (module docstring)
 _FAR_TERMS = 60
+
+# share of the arc, by arclength and centred on it, that the S-property
+# residual samples
+_INTERIOR_FRACTION = 0.9
 
 
 class GreenError(RuntimeError):
@@ -145,10 +150,6 @@ def robin_gamma(qd: QuadraticDifferential) -> float:
     z0 = r0 * cmath.exp(1e-3j)  # slightly off-axis to dodge collinear roots
     g0 = _green_many(qd, [z0])[0]
     return float(g0 - math.log(abs(z0)) + _laurent_tail(a, r0 / z0)[0])
-
-
-def capacity(qd: QuadraticDifferential) -> float:
-    return math.exp(-robin_gamma(qd))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +272,7 @@ def segment_capacity_robin(a: complex, b: complex, n: int = 256):
 def segment_green(a: float, b: float, z: complex) -> float:
     """Green function of the segment [a, b] with pole at infinity."""
     m, h = (a + b) / 2, (b - a) / 2
-    u = (complex(z) - m) / h
-    w = cmath.sqrt(u - 1) * cmath.sqrt(u + 1)
-    return abs((cmath.log(u + w)).real)
+    return math.log(abs(zeta_branch((complex(z) - m) / h)))
 
 
 @dataclass(frozen=True)
@@ -378,25 +377,20 @@ class CircularArc:
 # S-property
 
 
-def s_property_residual(
-    green_fn,
-    arc_points,
-    h: float = 1e-5,
-    interior_fraction: float = 0.9,
-    n_samples: int = 40,
-) -> float:
+def s_property_residual(green_fn, arc_points, h: float = 1e-5, n_samples: int = 40) -> float:
     """sup over interior arc samples of |d g / d n+  -  d g / d n-|.
 
     One-sided normal derivatives are formed from the second-order stencil
-    (4 g(h) - g(2h)) / (2 h) on each side; the first and last (1 -
-    interior_fraction)/2 of the arc are excluded to stay away from the
-    endpoint square-root behavior.
+    (4 g(h) - g(2h)) / (2 h) on each side.  The samples are the vertices
+    reached first at ``n_samples`` equal arclength steps over the central
+    ``_INTERIOR_FRACTION`` of the arc, which keeps them away from the
+    endpoint square-root behavior however densely the vertices crowd there.
     """
     pts = np.asarray(list(arc_points), dtype=complex)
     m = len(pts)
-    lo = int(m * (1 - interior_fraction) / 2)
-    hi = m - lo
-    idx = np.linspace(lo, hi - 1, min(n_samples, hi - lo)).astype(int)
+    s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts)))])
+    margin = s[-1] * (1 - _INTERIOR_FRACTION) / 2
+    idx = np.unique(np.searchsorted(s, np.linspace(margin, s[-1] - margin, n_samples)))
     worst = 0.0
     for i in idx:
         j0, j1 = max(i - 1, 0), min(i + 1, m - 1)

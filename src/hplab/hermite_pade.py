@@ -12,12 +12,12 @@ one-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import mpmath as mp
 
-from .series import LaurentGerm, germ_constant
+from .series import germ_constant
 
 
 class HermitePadeError(ValueError):
@@ -72,13 +72,11 @@ class ZeroSet:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point cloud; ``plane`` records which coordinate the support
-    points live in ('z' for sphere points, 'zeta2' for second-sheet points of
-    the uniformizing disk)."""
+    """Probability measure with finitely many atoms: ``support`` holds points
+    of the base z plane, ``weights`` their nonnegative masses."""
 
     support: tuple
     weights: tuple
-    plane: str = "z"
 
     def __post_init__(self):
         if len(self.support) != len(self.weights):
@@ -90,11 +88,8 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
 
     def projected_z(self) -> np.ndarray:
-        """Push forward to the z-plane through the canonical projection."""
-        pts = np.asarray([complex(s) for s in self.support])
-        if self.plane == "zeta2":
-            return (pts + 1 / pts) / 2
-        return pts
+        """The support as a complex array."""
+        return np.asarray([complex(s) for s in self.support])
 
 
 def _required_len(k: int, n: int) -> int:
@@ -105,23 +100,19 @@ def _required_len(k: int, n: int) -> int:
 def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
     """Solve the type-I system for the germs of (1, f, ..., f^{k-1}).
 
-    ``germs`` may omit the trivial leading germ of 1; pass either k or k-1
-    entries.  Normalization: the trailing nonzero coefficient of the first
+    ``germs`` holds the k - 1 germs of f, ..., f^{k-1}; the germ of 1 is
+    implied.  Normalization: the trailing nonzero coefficient of the first
     nonzero polynomial equals 1, which pins the projective scale so repeated
     runs are bit-for-bit identical.
     """
     germs = list(germs)
     if n < 0:
         raise HermitePadeError("degree must be nonnegative")
-    prec = precision_bits or max(g.precision_bits for g in germs)
-    k = len(germs)
-    if germs and germs[0].coeffs[0] == 1 and all(c == 0 for c in germs[0].coeffs[1:]):
-        pass  # caller included the germ of 1
-    else:
-        k += 1
-        germs = [germ_constant(1, germs[0].order, prec)] + germs
+    k = len(germs) + 1
     if k not in (2, 3, 4):
         raise HermitePadeError(f"family size must be 2, 3 or 4, got {k}")
+    prec = precision_bits or max(g.precision_bits for g in germs)
+    germs = [germ_constant(1, germs[0].order, prec)] + germs
 
     need = _required_len(k, n)
     for g in germs[1:]:
@@ -234,7 +225,8 @@ def _split_and_normalize(vec, k, n, prec):
 
 
 def residual_order(sol: HPSolution, germs, precision_bits: int | None = None) -> int:
-    """Certify the decay order of sum Q_j f^j from longer germs.
+    """Certify the decay order of sum Q_j f^j from longer germs of
+    f, ..., f^{k-1} (the germ of 1 is implied, as in :func:`hp_type1`).
 
     Returns the largest d such that every coefficient of z^m with m > -d is
     below the 2^{-prec/4} relative threshold; raises OrderShortfall when the
@@ -243,8 +235,9 @@ def residual_order(sol: HPSolution, germs, precision_bits: int | None = None) ->
     germs = list(germs)
     prec = precision_bits or sol.precision_bits
     k, n = sol.family_size, sol.degree
-    if len(germs) == k - 1:
-        germs = [germ_constant(1, germs[0].order, prec)] + germs
+    if len(germs) != k - 1:
+        raise HermitePadeError(f"need {k - 1} germs for family size {k}, got {len(germs)}")
+    germs = [germ_constant(1, germs[0].order, prec)] + germs
     min_len = min(len(g) for g in germs[1:])
     need = _required_len(k, n) + 20
     if min_len < need:
@@ -348,7 +341,6 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
                 measure = DiscreteMeasure(
                     support=tuple(complex(roots[i]) for i in order),
                     weights=tuple([w] * deg),
-                    plane="z",
                 )
                 return zs, measure
     raise NoConvergence(

@@ -2,12 +2,12 @@
 two-sheeted surface w^2 = z^2 - 1 and an extremal continuum in the
 uniformizing disk.
 
-With g1 the Green function of [-1, 1] (log|zeta1(z)|, |zeta1| > 1) and gF the
-Green function of the extremal continuum evaluated on the two sheet images
-zeta1 and zeta2 = 1/zeta1, the sheet functions are
+With g1 the Green function of [-1, 1] (log|zeta_1(z)|, |zeta_1| > 1) and gF
+the Green function of the extremal continuum evaluated on the two sheet
+images zeta_1 and zeta_2 = 1/zeta_1, the sheet functions are
 
-    u1 = -2 gF(zeta1) - g1      u2 = -2 gF(zeta2) + g1
-    u3 =  2 gF(zeta2) + g1      u4 =  2 gF(zeta1) - g1
+    u1 = -2 gF(zeta_1) - g1      u2 = -2 gF(zeta_2) + g1
+    u3 =  2 gF(zeta_2) + g1      u4 =  2 gF(zeta_1) - g1
 
 They sum to zero identically, satisfy u1 <= u2 <= u3 <= u4 with strict
 inequalities off the cuts, and u1 decays like -3 log|z| at infinity.
@@ -26,20 +26,15 @@ from .scurve import QuadraticDifferential
 from .surface import zeta_branch
 
 
+# points sampled on each chord between skeleton points of the continuum
+_CHORD_NODES = 64
+
+# grid points closer than this to a cut are redrawn
+_GRID_MARGIN = 1e-3
+
+
 class NuttallError(RuntimeError):
     pass
-
-
-class OnCut(NuttallError):
-    """Point lies on a cut of the four-sheeted surface, where consecutive
-    sheet functions coincide."""
-
-
-@dataclass(frozen=True)
-class SheetValues:
-    z: complex
-    u: tuple  # (u1, u2, u3, u4)
-    gaps: tuple  # (u2-u1, u3-u2, u4-u3)
 
 
 @dataclass(frozen=True)
@@ -61,14 +56,15 @@ def _cut_distance(z: complex, nodes: np.ndarray) -> float:
     return d
 
 
-def _projection_nodes(qd: QuadraticDifferential, n: int = 64) -> np.ndarray:
-    """z-projections of straight chords between skeleton points of the
-    continuum: a conservative sampling of where the lifted cuts can sit."""
+def _projection_nodes(qd: QuadraticDifferential) -> np.ndarray:
+    """z-projections of straight chords between the skeleton points of the
+    continuum (its endpoints and double zeros): a conservative sampling of
+    where the lifted cuts can sit."""
     nodes = []
-    ends = list(qd.denominator_roots) + list(qd.numerator_roots)
+    ends = list(qd.denominator_roots) + list(qd.double_zeros)
     for i in range(len(ends)):
         for j in range(i + 1, len(ends)):
-            for t in np.linspace(0, 1, n):
+            for t in np.linspace(0, 1, _CHORD_NODES):
                 nodes.append(ends[i] + t * (ends[j] - ends[i]))
     zeta = np.asarray(nodes)
     return (zeta + 1 / zeta) / 2
@@ -77,17 +73,6 @@ def _projection_nodes(qd: QuadraticDifferential, n: int = 64) -> np.ndarray:
 def _dist_segment(z: complex, a: float, b: float) -> float:
     x = min(max(z.real, a), b)
     return abs(z - x)
-
-
-def u_values(qd: QuadraticDifferential, z: complex, cut_tol: float = 1e-9) -> SheetValues:
-    """Sheet functions at a single point; raises OnCut within ``cut_tol`` of
-    a cut, where consecutive values coincide."""
-    z = complex(z)
-    if _cut_distance(z, _projection_nodes(qd)) < cut_tol:
-        raise OnCut(f"{z} lies on (or within {cut_tol} of) a cut")
-    u = _u_batch(qd, np.asarray([z]))[0]
-    gaps = (u[1] - u[0], u[2] - u[1], u[3] - u[2])
-    return SheetValues(z=z, u=tuple(u), gaps=gaps)
 
 
 def _u_batch(qd: QuadraticDifferential, zs: np.ndarray) -> np.ndarray:
@@ -103,16 +88,16 @@ def _u_batch(qd: QuadraticDifferential, zs: np.ndarray) -> np.ndarray:
 
 
 def default_grid(qd: QuadraticDifferential, n: int = 10_000, seed: int = 7,
-                 box: float = 4.0, cut_margin: float = 1e-3) -> np.ndarray:
-    """Deterministic quasi-random grid in a box around the cuts, excluding a
-    safety margin near the cuts themselves."""
+                 box: float = 4.0) -> np.ndarray:
+    """Deterministic quasi-random grid in a box around the cuts, excluding
+    points within ``_GRID_MARGIN`` of the cuts themselves."""
     rng = np.random.default_rng(seed)
     nodes = _projection_nodes(qd)
     pts = []
     while len(pts) < n:
         cand = (rng.random(2 * n) * 2 - 1) * box + 1j * (rng.random(2 * n) * 2 - 1) * box
         for z in cand:
-            if _cut_distance(complex(z), nodes) > cut_margin:
+            if _cut_distance(complex(z), nodes) > _GRID_MARGIN:
                 pts.append(complex(z))
                 if len(pts) == n:
                     break

@@ -30,6 +30,13 @@ from ._kernels import integrate_path
 # RK4 step as a fraction of the distance to the nearest root
 _STEP_SCALE = 0.02
 
+# a routed path passes a root at this fraction of min(path length,
+# 1 + distance of the root from the start)
+_DETOUR = 0.08
+
+# Newton steps of the period solve
+_MAX_NEWTON = 60
+
 
 class SCurveError(RuntimeError):
     pass
@@ -132,9 +139,9 @@ def _conj_pairs(points, tol):
     return pairs
 
 
-def route_around(start: complex, end: complex, roots, clearance: float = 0.08):
+def route_around(start: complex, end: complex, roots):
     """Polyline from ``start`` to ``end`` detouring around interior roots
-    that sit close to the straight segment."""
+    that sit within ``_DETOUR`` (relative) of the straight segment."""
     start, end = complex(start), complex(end)
     d = end - start
     L = abs(d)
@@ -148,7 +155,7 @@ def route_around(start: complex, end: complex, roots, clearance: float = 0.08):
         u = ((r - start) / d).real
         if 0.0 < u < 1.0:
             dist = abs(start + u * d - r)
-            margin = clearance * min(L, 1.0 + abs(r - start))
+            margin = _DETOUR * min(L, 1.0 + abs(r - start))
             if dist < margin:
                 detours.append((u, r + 1j * d / L * margin))
     detours.sort(key=lambda t: t[0])
@@ -170,13 +177,13 @@ def _period_residual(w_roots, pairs, den_roots):
     return np.asarray(res)
 
 
-def chebotarev_solve(points, tol: float = 1e-11, max_iter: int = 60) -> QuadraticDifferential:
+def chebotarev_solve(points, tol: float = 1e-11) -> QuadraticDifferential:
     """Quadratic differential of the extremal disjoint-arc compact through a
     conjugate-closed set of 2p non-real points in general position.
 
     p = 1 needs no numerator; for p >= 2 the p - 1 double zeros are solved
     from the period conditions by damped Newton iteration with a finite
-    difference Jacobian.
+    difference Jacobian, at most ``_MAX_NEWTON`` steps.
     """
     pts = [complex(p) for p in points]
     if len(pts) % 2 != 0 or len(pts) < 2:
@@ -203,7 +210,7 @@ def chebotarev_solve(points, tol: float = 1e-11, max_iter: int = 60) -> Quadrati
         return xx[:m] + 1j * xx[m:]
 
     fx = _period_residual(unpack(x), pairs, pts)
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         if np.max(np.abs(fx)) < tol:
             break
         h = 1e-7 * scale
@@ -409,14 +416,6 @@ def polyline_hausdorff(path_a, path_b) -> float:
     a = np.asarray(list(path_a), dtype=complex).reshape(-1)
     b = np.asarray(list(path_b), dtype=complex).reshape(-1)
     return float(max(_point_to_polyline(a, b).max(), _point_to_polyline(b, a).max()))
-
-
-def hausdorff_distance(pts_a, pts_b) -> float:
-    """Symmetric Hausdorff distance between two finite point clouds."""
-    a = np.asarray(list(pts_a), dtype=complex).reshape(-1)
-    b = np.asarray(list(pts_b), dtype=complex).reshape(-1)
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def segment_samples(a: complex, b: complex, n: int = 2001) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .funcspec import FunctionSpec, SpecError
+from .funcspec import FunctionSpec
 
 
 class SeriesError(ValueError):
@@ -57,9 +57,6 @@ class LaurentGerm:
         """Truncation order N: the expansion is exact through z^{-N}."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else mp.mpf(0)
-
     def max_abs(self):
         return max(abs(c) for c in self.coeffs)
 
@@ -91,13 +88,7 @@ def _join(a: LaurentGerm, b: LaurentGerm):
 def germ_mul(a: LaurentGerm, b: LaurentGerm) -> LaurentGerm:
     n, prec = _join(a, b)
     with mp.workprec(prec):
-        ca, cb = a.coeffs, b.coeffs
-        out = []
-        for k in range(n):
-            s = mp.mpf(0)
-            for i in range(k + 1):
-                s += ca[i] * cb[k - i]
-            out.append(s)
+        out = _mul_trunc(a.coeffs, b.coeffs, n)
     return LaurentGerm(tuple(out), prec)
 
 

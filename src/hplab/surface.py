@@ -86,12 +86,6 @@ def project(zeta: complex) -> SurfacePoint:
     return SurfacePoint(z=z, sheet=sheet, zeta=zeta)
 
 
-def phi(pt: SurfacePoint) -> complex:
-    """Canonical multiplicative function Phi = zeta: modulus > 1 on sheet 1,
-    < 1 on sheet 2, = 1 on the double-covered cut."""
-    return pt.zeta
-
-
 def green_signed(pt: SurfacePoint) -> float:
     """Green function of the cut [-1, 1] with pole at infinity of sheet 1,
     harmonically continued across the cut: log|zeta|, positive on sheet 1,
@@ -100,14 +94,3 @@ def green_signed(pt: SurfacePoint) -> float:
         raise PoleAtInfinity("logarithmic pole at infinity of sheet 2")
     return cmath.log(abs(pt.zeta)).real
 
-
-def complex_green(pt: SurfacePoint) -> complex:
-    """Multivalued analytic completion G = log zeta (principal branch)."""
-    if pt.zeta == 0:
-        raise PoleAtInfinity("logarithmic pole at infinity of sheet 2")
-    return cmath.log(pt.zeta)
-
-
-def eta2(pt: SurfacePoint) -> float:
-    """Second-sheet indicator -log|zeta|: positive exactly on sheet 2."""
-    return -green_signed(pt)

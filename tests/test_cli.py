@@ -127,6 +127,22 @@ def test_nuttall_outputs(spec_file_z, tmp_path):
     assert len(grid) == 3 + 60
 
 
+def test_equilibrium_refuses_two_arcs(tmp_path, capsys):
+    # A = -1.6 +- 0.8i, 1.8 +- 0.8i: p = 2, the compact has two arcs, and the
+    # equilibrium solve takes one
+    spec = tmp_path / "spec_p2.json"
+    spec.write_text(json.dumps(
+        {"class": "Z", "A": [["-1.6", "0.8"], ["-1.6", "-0.8"], ["1.8", "0.8"],
+                             ["1.8", "-0.8"]],
+         "alpha": ["-1/2", "-1/2", "1/2", "1/2"]}
+    ))
+    out = tmp_path / "out"
+    rc = main(["equilibrium", "--spec", str(spec), "--out", str(out)])
+    assert rc == 1
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_spec_file_is_input_error(tmp_path):
     rc = main(["germ", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 1

@@ -6,6 +6,7 @@ import pytest
 
 from hplab.equilibrium import (
     EquilibriumError,
+    NegativeDensity,
     _cells,
     _log_cell_integral,
     external_field,
@@ -118,6 +119,14 @@ def test_discrete_potential_off_support(arc_off_cut):
     assert abs(p_near - rep.modified_robin) < abs(p_far - rep.modified_robin)
 
 
+def test_negative_density_raises():
+    # a long spiral around the cut is no support of the equilibrium measure:
+    # the stationarity system gives some cells negative weight
+    spiral = 1.5 * np.exp((0.02 + 1j) * np.linspace(0, 12, 400))
+    with pytest.raises(NegativeDensity):
+        solve_equilibrium(spiral, 200)
+
+
 def test_residual_shrinks_under_refinement(arc_off_cut):
     res = [solve_equilibrium(arc_off_cut, n=n).residual_sup for n in (100, 200, 400)]
     assert res[1] < res[0]
@@ -182,7 +191,7 @@ def test_energy_minimal_at_equilibrium(arc_off_cut):
 
 def test_potential_energy_two_points():
     z, t = 1.5 + 0j, 2.5 + 0j
-    mu = DiscreteMeasure(support=(z, t), weights=(0.5, 0.5), plane="z")
+    mu = DiscreteMeasure(support=(z, t), weights=(0.5, 0.5))
     expected = 2 * 0.25 * interaction_kernel(z, t) + 2 * 0.5 * (
         external_field(z) + external_field(t)
     )
@@ -192,15 +201,15 @@ def test_potential_energy_two_points():
 def test_measure_distance_identical_is_zero():
     pts = tuple(np.linspace(1.2, 2.2, 50) + 0j)
     w = tuple([1 / 50] * 50)
-    mu = DiscreteMeasure(support=pts, weights=w, plane="z")
+    mu = DiscreteMeasure(support=pts, weights=w)
     assert measure_distance(mu, mu) == 0.0
 
 
 def test_measure_distance_point_vs_uniform():
     pts = tuple(np.linspace(0.0, 1.0, 101) + 0j)
     w = tuple([1 / 101] * 101)
-    ref = DiscreteMeasure(support=pts, weights=w, plane="z")
-    point = DiscreteMeasure(support=(0.5 + 0j,), weights=(1.0,), plane="z")
+    ref = DiscreteMeasure(support=pts, weights=w)
+    point = DiscreteMeasure(support=(0.5 + 0j,), weights=(1.0,))
     d = measure_distance(point, ref)
     assert d == pytest.approx(0.5, abs=0.02)
 
@@ -208,13 +217,13 @@ def test_measure_distance_point_vs_uniform():
 def test_measure_distance_counts_stray_mass():
     pts = tuple(np.linspace(0.0, 1.0, 51) + 0j)
     w = tuple([1 / 51] * 51)
-    ref = DiscreteMeasure(support=pts, weights=w, plane="z")
-    stray = DiscreteMeasure(support=(0.5 + 5j,), weights=(1.0,), plane="z")
+    ref = DiscreteMeasure(support=pts, weights=w)
+    stray = DiscreteMeasure(support=(0.5 + 5j,), weights=(1.0,))
     assert measure_distance(stray, ref) > 1.0
 
 
 def test_measure_distance_rejects_degenerate_reference():
-    ref = DiscreteMeasure(support=(1.0 + 0j, 1.0 + 0j), weights=(0.5, 0.5), plane="z")
-    mu = DiscreteMeasure(support=(1.0 + 0j,), weights=(1.0,), plane="z")
+    ref = DiscreteMeasure(support=(1.0 + 0j, 1.0 + 0j), weights=(0.5, 0.5))
+    mu = DiscreteMeasure(support=(1.0 + 0j,), weights=(1.0,))
     with pytest.raises(EquilibriumError):
         measure_distance(mu, ref)

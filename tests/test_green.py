@@ -12,7 +12,6 @@ from hplab.green import (
     _green_many,
     _laurent,
     _laurent_tail,
-    capacity,
     capacity_robin,
     capacity_robin_multi,
     green_eval,
@@ -202,7 +201,8 @@ def test_two_robin_routes_agree(qd_p1):
 
 
 def test_capacity_is_exp_minus_robin(qd_p1):
-    assert capacity(qd_p1) == pytest.approx(math.exp(-robin_gamma(qd_p1)), rel=1e-14)
+    ev = green_eval(qd_p1, [])
+    assert ev.capacity == pytest.approx(math.exp(-robin_gamma(qd_p1)), rel=1e-14)
 
 
 @pytest.mark.parametrize("endpoints", [(1 / 2, 1 / 3), (1 / 3, 1 / 2)])
@@ -317,6 +317,16 @@ def test_s_property_holds_on_extremal_segment(qd_p1):
     pts = segment_samples(1 / 3, 1 / 2, 101)
     res = s_property_residual(g, pts, n_samples=15)
     assert res < 1e-6
+
+
+def test_s_property_holds_on_p2_arcs(qd_p2):
+    # traced vertices crowd near the endpoints, where h = 1e-5 does not
+    # resolve g, so this holds only with samples spaced by arclength
+    g = qd_green_fn(qd_p2)
+    comp = trace_compact(qd_p2)
+    assert len(comp.arcs) == 2
+    for arc in comp.arcs:
+        assert s_property_residual(g, arc, h=1e-5) <= 1e-4
 
 
 def test_s_property_fails_on_circular_arc():

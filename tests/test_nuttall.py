@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from hplab.nuttall import (
-    OnCut,
-    default_grid,
-    nuttall_report,
-    u_values,
-)
+from hplab.nuttall import default_grid, nuttall_report
 from hplab.surface import green_signed, lift
+
+# point checks: structure, pairing, a conjugate pair, the middle gap
+POINTS = np.array([2.0 + 1.5j, 1.1 + 0.9j, 0.8 + 1.3j, 0.8 - 1.3j, 1.7 - 0.6j])
 
 
 @pytest.fixture(scope="module")
 def report(qd_p1):
     # modest grid keeps the suite fast; the acceptance test runs the full one
     return nuttall_report(qd_p1, n=800)
+
+
+@pytest.fixture(scope="module")
+def at_points(qd_p1):
+    """Sheet functions at POINTS, one row (u1, u2, u3, u4) per point."""
+    return nuttall_report(qd_p1, grid=POINTS).u
 
 
 def test_sheet_functions_sum_to_zero(report):
@@ -29,50 +33,35 @@ def test_u1_decays_like_minus_three_log(report):
     assert report.slope_stderr < 1e-6
 
 
-def test_point_values_structure(qd_p1):
-    sv = u_values(qd_p1, 2.0 + 1.5j)
-    assert len(sv.u) == 4
-    assert sv.u == tuple(sorted(sv.u))
-    assert all(g > 0 for g in sv.gaps)
-    assert sum(sv.u) == pytest.approx(0.0, abs=1e-13)
+def test_point_values_structure(at_points):
+    u = at_points[0]
+    assert len(u) == 4
+    assert np.all(np.diff(u) > 0)
+    assert sum(u) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_symmetric_pairing(qd_p1):
+def test_symmetric_pairing(at_points):
     # the sheet involution pairs u1 with u4 and u2 with u3:
     # u1 + u4 = -2 g1 and u2 + u3 = +2 g1
-    z = 1.1 + 0.9j
-    sv = u_values(qd_p1, z)
-    g1 = green_signed(lift(z, 1))
-    assert sv.u[3] + sv.u[0] == pytest.approx(-2 * g1, abs=1e-12)
-    assert sv.u[2] + sv.u[1] == pytest.approx(2 * g1, abs=1e-12)
+    u = at_points[1]
+    g1 = green_signed(lift(POINTS[1], 1))
+    assert u[3] + u[0] == pytest.approx(-2 * g1, abs=1e-12)
+    assert u[2] + u[1] == pytest.approx(2 * g1, abs=1e-12)
 
 
-def test_conjugation_symmetry(qd_p1):
-    z = 0.8 + 1.3j
-    a = u_values(qd_p1, z)
-    b = u_values(qd_p1, z.conjugate())
-    for x, y in zip(a.u, b.u):
+def test_conjugation_symmetry(at_points):
+    for x, y in zip(at_points[2], at_points[3]):
         assert x == pytest.approx(y, abs=1e-10)
 
 
-def test_middle_gap_from_continuum_green(qd_p1):
-    # u3 - u2 = 4 gF(zeta2), four times the continuum Green function at the
+def test_middle_gap_from_continuum_green(qd_p1, at_points):
+    # u3 - u2 = 4 gF(zeta_2), four times the continuum Green function at the
     # second-sheet image
     from hplab.green import qd_green_fn
-    from hplab.surface import lift as lift_pt
 
-    z = 1.7 - 0.6j
-    sv = u_values(qd_p1, z)
-    zeta2 = lift_pt(z, 2).zeta
-    gf = qd_green_fn(qd_p1)(zeta2)
-    assert sv.gaps[1] == pytest.approx(4 * gf, abs=1e-10)
-
-
-def test_on_cut_raises(qd_p1):
-    with pytest.raises(OnCut):
-        u_values(qd_p1, 0.5 + 0j)  # on the base segment
-    with pytest.raises(OnCut):
-        u_values(qd_p1, 0.5 + 1e-12j)  # within tolerance of it
+    u = at_points[4]
+    gf = qd_green_fn(qd_p1)(lift(POINTS[4], 2).zeta)
+    assert u[2] - u[1] == pytest.approx(4 * gf, abs=1e-10)
 
 
 def test_default_grid_deterministic(qd_p1):
@@ -84,7 +73,8 @@ def test_default_grid_deterministic(qd_p1):
 
 
 def test_grid_avoids_cuts(qd_p1):
-    grid = default_grid(qd_p1, n=200, cut_margin=1e-3)
-    for z in grid[:50]:
-        sv = u_values(qd_p1, z)  # must not raise OnCut
-        assert all(g >= 0 for g in sv.gaps)
+    grid = default_grid(qd_p1, n=200)
+    # clear of the base cut [-1, 1] by the grid margin
+    assert np.all(np.abs(grid - np.clip(grid.real, -1, 1)) > 1e-3)
+    rep = nuttall_report(qd_p1, grid=grid[:50])
+    assert all(g > 0 for g in rep.min_gaps)

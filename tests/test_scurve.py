@@ -9,7 +9,6 @@ from hplab.scurve import (
     QuadraticDifferential,
     admissibility_check,
     chebotarev_solve,
-    hausdorff_distance,
     polyline_hausdorff,
     route_around,
     segment_samples,
@@ -139,8 +138,8 @@ def test_route_around_ignores_far_roots():
 
 def test_hausdorff_identities():
     pts = np.asarray([0.0, 1.0, 1j])
-    assert hausdorff_distance(pts, pts) == 0.0
-    assert hausdorff_distance(pts, pts + 0.5) == pytest.approx(0.5)
+    assert polyline_hausdorff(pts, pts) == 0.0
+    assert polyline_hausdorff(pts, pts + 0.5) == pytest.approx(0.5)
 
 
 def test_polyline_hausdorff_measures_sag():

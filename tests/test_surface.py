@@ -8,11 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hplab.surface import (
     PoleAtInfinity,
     SurfaceError,
-    complex_green,
-    eta2,
     green_signed,
     lift,
-    phi,
     project,
     zeta_branch,
 )
@@ -65,8 +62,6 @@ def test_green_signs():
     assert green_signed(lift(2.0, 1)) > 0
     assert green_signed(lift(2.0, 2)) < 0
     assert green_signed(lift(0.3, 1)) == pytest.approx(0.0, abs=1e-15)
-    assert eta2(lift(2.0, 2)) > 0
-    assert eta2(lift(2.0, 1)) < 0
 
 
 def test_green_classical_value():
@@ -76,24 +71,12 @@ def test_green_classical_value():
     assert green_signed(lift(z, 1)) == pytest.approx(expected, rel=1e-14)
 
 
-def test_complex_green_real_part():
-    pt = lift(1.2 + 0.4j, 1)
-    assert complex_green(pt).real == pytest.approx(green_signed(pt), rel=1e-14)
-
-
 def test_pole_at_second_sheet_infinity():
     from hplab.surface import SurfacePoint
 
     pt = SurfacePoint(z=complex("inf"), sheet=2, zeta=0j)
     with pytest.raises(PoleAtInfinity):
         green_signed(pt)
-    with pytest.raises(PoleAtInfinity):
-        complex_green(pt)
-
-
-def test_phi_is_zeta():
-    pt = lift(2.5, 1)
-    assert phi(pt) == pt.zeta
 
 
 complex_points = st.builds(
