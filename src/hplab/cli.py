@@ -90,6 +90,16 @@ def _write_csv(path: str, command: str, cfg_hash: str, header, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _write_roots(path: str, command: str, cfg_hash: str, zs):
+    _write_csv(
+        path,
+        command,
+        cfg_hash,
+        ("re", "im", "multiplicity"),
+        [(float(r.real), float(r.imag), m) for r, m in zip(zs.roots, zs.multiplicities)],
+    )
+
+
 def _write_json(path: str, command: str, cfg_hash: str, doc: dict):
     doc = {"_provenance": {"command": command, "config_hash": cfg_hash}, **doc}
     _atomic_write(path, json.dumps(doc, indent=2, default=str) + "\n")
@@ -171,13 +181,7 @@ def _cmd_hp(args, cfg_hash):
             }
         _write_json(os.path.join(args.out, f"Q_{n}_{j}.json"), "hp", cfg_hash, doc)
         zs, _ = hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
-        _write_csv(
-            os.path.join(args.out, f"Q_{n}_{j}_roots.csv"),
-            "hp",
-            cfg_hash,
-            ("re", "im", "multiplicity"),
-            [(float(r.real), float(r.imag), m) for r, m in zip(zs.roots, zs.multiplicities)],
-        )
+        _write_roots(os.path.join(args.out, f"Q_{n}_{j}_roots.csv"), "hp", cfg_hash, zs)
     _write_json(
         os.path.join(args.out, "hp_report.json"),
         "hp",
@@ -201,6 +205,11 @@ def _solve_compact(spec, tol):
     return qd, comp
 
 
+def _projected(arc) -> np.ndarray:
+    arc = np.asarray(arc)
+    return (arc + 1 / arc) / 2
+
+
 def _cmd_stahl(args, cfg_hash):
     spec = _load_spec(args.spec)
     qd, comp = _solve_compact(spec, args.tol)
@@ -214,13 +223,12 @@ def _cmd_stahl(args, cfg_hash):
             ("s", "re_zeta", "im_zeta"),
             [(float(si), float(z.real), float(z.imag)) for si, z in zip(s, arc)],
         )
-        proj = (arc + 1 / arc) / 2
         _write_csv(
             os.path.join(args.out, f"arc_{i}_projection.csv"),
             "stahl",
             cfg_hash,
             ("re_z", "im_z"),
-            [(float(z.real), float(z.imag)) for z in proj],
+            [(float(z.real), float(z.imag)) for z in _projected(arc)],
         )
     _write_json(
         os.path.join(args.out, "stahl_report.json"),
@@ -319,11 +327,6 @@ def _cmd_nuttall(args, cfg_hash):
     return 0
 
 
-def _projected_arc(comp) -> np.ndarray:
-    arc = np.asarray(comp.arcs[0])
-    return (arc + 1 / arc) / 2
-
-
 def _cmd_equilibrium(args, cfg_hash):
     spec = _load_spec(args.spec)
     _, comp = _solve_compact(spec, args.tol)
@@ -332,7 +335,7 @@ def _cmd_equilibrium(args, cfg_hash):
             f"equilibrium solves on one arc; this spec's compact has {len(comp.arcs)}"
         )
     n_cells = args.n or 400
-    arc_z = _projected_arc(comp)
+    arc_z = _projected(comp.arcs[0])
     rep = eq.solve_equilibrium(arc_z, n_cells)
     _write_csv(
         os.path.join(args.out, "equilibrium_measure.csv"),
@@ -365,36 +368,27 @@ def _cmd_figure_data(args, cfg_hash):
     n_pade = min(n, 30)
     sol2, _ = _solve_hp(spec, 2, n_pade, prec)
     zs2, _ = hp_mod.polyroots_and_measure(sol2.polys[1], tol=args.tol or 1e-10)
-    _write_csv(
-        os.path.join(args.out, "pade_zeros.csv"),
-        "figure-data",
-        cfg_hash,
-        ("re", "im", "multiplicity"),
-        [(float(r.real), float(r.imag), m) for r, m in zip(zs2.roots, zs2.multiplicities)],
-    )
+    _write_roots(os.path.join(args.out, "pade_zeros.csv"), "figure-data", cfg_hash, zs2)
 
     # Hermite-Pade zero clouds for the [1, f, f^2] system
     sol3, order3 = _solve_hp(spec, 3, n, prec)
     for j, poly in enumerate(sol3.polys):
         zs, _ = hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
-        _write_csv(
-            os.path.join(args.out, f"hp_zeros_q{j}.csv"),
-            "figure-data",
-            cfg_hash,
-            ("re", "im", "multiplicity"),
-            [(float(r.real), float(r.imag), m) for r, m in zip(zs.roots, zs.multiplicities)],
-        )
+        _write_roots(os.path.join(args.out, f"hp_zeros_q{j}.csv"), "figure-data", cfg_hash, zs)
 
     doc = {"n": n, "pade_n": n_pade, "precision_bits": prec, "hp_order": order3}
     if spec.class_tag == "single-interval":
-        qd, comp = _solve_compact(spec, args.tol)
-        proj = _projected_arc(comp)
+        _, comp = _solve_compact(spec, args.tol)
         _write_csv(
             os.path.join(args.out, "scurve_projection.csv"),
             "figure-data",
             cfg_hash,
-            ("re_z", "im_z"),
-            [(float(z.real), float(z.imag)) for z in proj],
+            ("arc", "re_z", "im_z"),
+            [
+                (i, float(z.real), float(z.imag))
+                for i, arc in enumerate(comp.arcs)
+                for z in _projected(arc)
+            ],
         )
         doc["compact_traced"] = True
     else:

@@ -13,8 +13,12 @@ period conditions
   Re \\int between the pair's two points), and
 * Re \\int W/sqrt(B) = 0 along connectors between consecutive pairs,
 
-which this module solves by damped Newton iteration before tracing the
-trajectories to produce the arcs themselves.
+which this module solves by damped Newton iteration.  Each arc from a to b
+is then the preimage of the segment [0, G(b)] of the imaginary axis under
+the Abelian integral G(t) = \\int_a^t sqrt(Q), its natural parameter
+(Strebel, *Quadratic Differentials*, 1984).  The arc is sampled at equal
+steps of G by Newton's method on G(t) = target, so its vertices lie on the
+trajectory and are equispaced in the equilibrium measure |sqrt(Q) dt| / pi.
 """
 
 from __future__ import annotations
@@ -27,15 +31,22 @@ import numpy as np
 
 from ._kernels import integrate_path
 
-# RK4 step as a fraction of the distance to the nearest root
-_STEP_SCALE = 0.02
-
 # a routed path passes a root at this fraction of min(path length,
 # 1 + distance of the root from the start)
 _DETOUR = 0.08
 
-# Newton steps of the period solve
+# Newton steps of the period solve, and of each traced point
 _MAX_NEWTON = 60
+
+# points per traced arc, equispaced in the natural parameter
+_ARC_POINTS = 128
+
+# Newton on a traced point stops once |G(t) - target| is below this fraction
+# of |G(b)|; the step it then takes leaves about the square of that miss
+_NEWTON_TOL = 1e-7
+
+# Re G(b) and the miss of the last step onto b, as fractions of |G(b)|
+_LAND_TOL = 1e-9
 
 
 class SCurveError(RuntimeError):
@@ -47,10 +58,6 @@ class NewtonDiverged(SCurveError):
 
 
 class NotGeneralPosition(SCurveError):
-    pass
-
-
-class TrajectoryEscaped(SCurveError):
     pass
 
 
@@ -246,125 +253,74 @@ def chebotarev_solve(points, tol: float = 1e-11) -> QuadraticDifferential:
     )
 
 
-def _launch_angle(qd: QuadraticDifferential, a: complex) -> float:
-    """Departure direction of the single trajectory leaving a simple pole:
-    the local expansion Q ~ c/(t - a) forces theta = pi - arg c."""
-    c = 1.0 + 0j
-    for r in qd.numerator_roots:
-        c *= a - r
-    for r in qd.denominator_roots:
-        if abs(r - a) > 1e-14:
-            c /= a - r
-    return math.pi - cmath.phase(c)
+def _trace_arc(qd: QuadraticDifferential, a: complex, b: complex) -> np.ndarray:
+    """The trajectory of -Q dt^2 from the endpoint ``a`` to the endpoint
+    ``b`` as ``_ARC_POINTS + 1`` vertices: vertex k solves
+    G(t) = k G(b) / _ARC_POINTS with G(t) = \\int_a^t sqrt(Q).
 
-
-def trace_trajectory(qd: QuadraticDifferential, start: complex):
-    """Trace the trajectory of -Q dt^2 leaving the endpoint ``start``.
-
-    Follows the unit-speed field along which sqrt(Q) dt is purely imaginary,
-    with the branch of sqrt(Q) carried continuously, by RK4 steps of
-    _STEP_SCALE times the distance to the nearest root.  Stops when another
-    endpoint is reached (snapped exactly) and returns (arc, endpoint); raises
-    TrajectoryEscaped past |t| = 100 scale + max|root|, EndpointMismatch past
-    length 50 scale, or NotGeneralPosition otherwise, where scale is the
-    diameter of the endpoint set.
+    Raises EndpointMismatch when Re G(b) does not vanish or the last step
+    does not land on ``b``, and NotGeneralPosition when Newton fails to
+    converge, as it does when a double zero lies on the arc.
     """
-    den = list(qd.denominator_roots)
-    dz = list(qd.double_zeros)
-    scale = _scale_of(den)
-    max_length = 50 * scale
-    snap_tol = 1e-9 * scale
-    escape_radius = 100 * scale + max(abs(r) for r in den + dz or den)
-
-    theta = _launch_angle(qd, start)
-    eps = 1e-10 * scale
-    z = start + eps * cmath.exp(1j * theta)
-
-    w_prev = [0j]
-
-    def field(t):
-        w = cmath.sqrt(qd.q_at(t))
-        if w_prev[0] != 0 and (w * w_prev[0].conjugate()).real < 0:
-            w = -w
-        w_prev[0] = w
-        return 1j * abs(w) / w
-
-    f0 = field(z)
-    if (f0 * cmath.exp(-1j * theta)).real < 0:
-        w_prev[0] = -w_prev[0]
-
-    pts = [complex(start), z]
-    length = eps
-    for _ in range(2_000_000):
-        dmin = min(abs(z - r) for r in den)
-        if dmin < snap_tol or (length > 10 * snap_tol and dmin < _STEP_SCALE * scale * 1e-3):
-            target = min(den, key=lambda r: abs(z - r))
-            if abs(target - start) > 1e-14 and dmin < 1e-4 * scale:
-                pts.append(complex(target))
-                return np.asarray(pts), target
-        if dz:
-            dj = min(abs(z - r) for r in dz)
-            if dj < 1e-8 * scale and length > 1e-6 * scale:
-                raise NotGeneralPosition(
-                    "trajectory ran into a double zero (separatrix configuration)"
-                )
-            dmin = min(dmin, dj)
-        h = _STEP_SCALE * min(max(dmin, 1e-12), 0.5 * scale)
-        state = w_prev[0]
-        k1 = field(z)
-        w_prev[0] = state
-        k2 = field(z + 0.5 * h * k1)
-        w_prev[0] = state
-        k3 = field(z + 0.5 * h * k2)
-        w_prev[0] = state
-        k4 = field(z + h * k3)
-        w_prev[0] = state
-        step = h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        z = z + step
-        field(z)  # advance the branch state to the accepted point
-        length += abs(step)
-        pts.append(z)
-        if abs(z) > escape_radius:
-            raise TrajectoryEscaped(
-                f"trajectory from {start} escaped past |t| = {escape_radius:.3g}"
-            )
-        if length > max_length:
-            raise EndpointMismatch(
-                f"trajectory from {start} exceeded length {max_length:.3g} without landing"
-            )
-    raise EndpointMismatch("step limit exhausted")
+    num, den = qd.numerator_roots, qd.denominator_roots
+    total, _ = integrate_path(num, den, route_around(a, b, num + den))
+    if abs(total.real) > _LAND_TOL * abs(total):
+        raise EndpointMismatch(f"Re G = {total.real:.3e} between {a} and {b}")
+    ds = total / _ARC_POINTS
+    # Q ~ c / (t - a) near a, so G ~ 2 sqrt(c (t - a))
+    c = math.prod(a - r for r in num) / math.prod(a - r for r in den if r != a)
+    pts, state = [a], 0j
+    for k in range(1, _ARC_POINTS):
+        # t(s) is analytic in s up to both endpoints
+        if k < 3:
+            t = a + (k * ds) ** 2 / (4 * c)
+        else:
+            t = 3 * pts[-1] - 3 * pts[-2] + pts[-3]
+        for _ in range(_MAX_NEWTON):
+            g, w = integrate_path(num, den, [pts[-1], t], w0=state)
+            if k == 1 and (g * ds.conjugate()).real < 0:
+                g, w = -g, -w  # the branch of sqrt(Q) at a along which G(b) = total
+            miss = g - ds
+            root = cmath.sqrt(qd.q_at(t))
+            # sign sqrt(Q) by the integrator's branch: w is sqrt(V B) at its
+            # last quadrature node, near t
+            if (root * math.prod(t - r for r in den) * w.conjugate()).real < 0:
+                root = -root
+            t -= miss / root
+            if abs(miss) <= _NEWTON_TOL * abs(total):
+                break
+        else:
+            raise NotGeneralPosition(f"Newton found no point {k} of the arc from {a}")
+        pts.append(t)
+        state = w
+    g, _ = integrate_path(num, den, [pts[-1], b], w0=state)
+    if abs(g - ds) > _LAND_TOL * abs(total):
+        raise EndpointMismatch(f"trajectory from {a} misses {b} by {abs(g - ds):.3e} in G")
+    pts.append(b)
+    return np.asarray(pts)
 
 
 def trace_compact(qd: QuadraticDifferential) -> CompactSet:
-    """Trace one arc per conjugate pair (from the upper point) and verify the
-    within-pair landing and pairwise disjointness."""
+    """Trace one arc per conjugate pair (from the upper point; from the
+    first point when p = 1) and verify pairwise disjointness."""
     scale = _scale_of(qd.denominator_roots)
     den = [complex(r) for r in qd.denominator_roots]
-    if len(den) == 2:
-        starts = [den[0]]
-    else:
-        starts = [u for u, _ in _conj_pairs(den, 1e-12 * scale)]
-    arcs, pairing = [], []
-    landed = set()
-    for a in starts:
-        arc, target = trace_trajectory(qd, a)
-        arcs.append(arc)
-        pairing.append((a, target))
-        landed.update((a, target))
-    missing = [r for r in den if r not in landed]
-    if missing:
-        raise EndpointMismatch(f"endpoints {missing} are not covered by any arc")
-    comp = CompactSet(arcs=tuple(arcs), endpoints=tuple(den), pairing=tuple(pairing))
+    pairing = [tuple(den)] if len(den) == 2 else _conj_pairs(den, 1e-12 * scale)
+    arcs = tuple(_trace_arc(qd, a, b) for a, b in pairing)
+    comp = CompactSet(arcs=arcs, endpoints=tuple(den), pairing=tuple(pairing))
     _check_disjoint(comp, scale)
     return comp
 
 
 def _check_disjoint(comp: CompactSet, scale: float):
+    """Critical trajectories from distinct poles cannot cross, so the least
+    vertex-to-edge distance, taken both ways, is the arcs' separation."""
     arcs = [np.asarray(a) for a in comp.arcs]
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
-            d = np.abs(arcs[i][:, None] - arcs[j][None, :])
-            if float(d.min()) < 1e-3 * scale:
+            d = min(_point_to_polyline(arcs[i], arcs[j]).min(),
+                    _point_to_polyline(arcs[j], arcs[i]).min())
+            if d < 1e-3 * scale:
                 raise SelfIntersection(f"arcs {i} and {j} come within 1e-3 of touching")
 
 

@@ -3,6 +3,13 @@ import pytest
 
 RAW_Z = {"class": "Z", "A": [["2", "0"], ["3", "0"]], "alpha": ["-1/2", "-1/2"]}
 
+# A = -1.6 +- 0.8i, 1.8 +- 0.8i: p = 2, a compact of two arcs
+RAW_P2 = {
+    "class": "Z",
+    "A": [["-1.6", "0.8"], ["-1.6", "-0.8"], ["1.8", "0.8"], ["1.8", "-0.8"]],
+    "alpha": ["-1/2", "-1/2", "1/2", "1/2"],
+}
+
 RAW_Z2 = {
     "class": "Z2",
     "A": [["1.2", "0.8"], ["1.2", "-0.8"]],
@@ -50,3 +57,12 @@ def qd_p2():
 
     pts = [-0.5 + 0.25j, -0.5 - 0.25j, 0.45 + 0.2j, 0.45 - 0.2j]
     return chebotarev_solve(pts)
+
+
+@pytest.fixture(scope="session")
+def qd_sheets_p2():
+    """The p=2 quadratic differential of RAW_P2's branch-point images."""
+    from hplab.funcspec import derived_points, validate_spec
+    from hplab.scurve import chebotarev_solve
+
+    return chebotarev_solve(derived_points(validate_spec(RAW_P2)).zeta_images)

@@ -4,8 +4,9 @@ import math
 import pytest
 
 from hplab.cli import main
+from hplab.scurve import trace_compact
 
-from conftest import RAW_Z, RAW_Z2
+from conftest import RAW_P2, RAW_Z, RAW_Z2
 
 
 @pytest.fixture(scope="module")
@@ -127,20 +128,32 @@ def test_nuttall_outputs(spec_file_z, tmp_path):
     assert len(grid) == 3 + 60
 
 
-def test_equilibrium_refuses_two_arcs(tmp_path, capsys):
-    # A = -1.6 +- 0.8i, 1.8 +- 0.8i: p = 2, the compact has two arcs, and the
-    # equilibrium solve takes one
-    spec = tmp_path / "spec_p2.json"
-    spec.write_text(json.dumps(
-        {"class": "Z", "A": [["-1.6", "0.8"], ["-1.6", "-0.8"], ["1.8", "0.8"],
-                             ["1.8", "-0.8"]],
-         "alpha": ["-1/2", "-1/2", "1/2", "1/2"]}
-    ))
+@pytest.fixture(scope="module")
+def spec_file_p2(tmp_path_factory):
+    p = tmp_path_factory.mktemp("specs") / "spec_p2.json"
+    p.write_text(json.dumps(RAW_P2))
+    return str(p)
+
+
+def test_equilibrium_refuses_two_arcs(spec_file_p2, tmp_path, capsys):
+    # the p = 2 compact has two arcs, and the equilibrium solve takes one
     out = tmp_path / "out"
-    rc = main(["equilibrium", "--spec", str(spec), "--out", str(out)])
+    rc = main(["equilibrium", "--spec", spec_file_p2, "--out", str(out)])
     assert rc == 1
     assert "input error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_figure_data_writes_every_arc(spec_file_p2, qd_sheets_p2, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["figure-data", "--spec", spec_file_p2, "--out", str(out), "--n", "8"])
+    assert rc == 0
+    rows = (out / "scurve_projection.csv").read_text().splitlines()
+    assert rows[2] == "arc,re_z,im_z"
+    arcs = [row.split(",")[0] for row in rows[3:]]
+    assert sorted(set(arcs)) == ["0", "1"]
+    comp = trace_compact(qd_sheets_p2)
+    assert len(arcs) == sum(len(a) for a in comp.arcs)
 
 
 def test_missing_spec_file_is_input_error(tmp_path):

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hplab.green import robin_gamma
+from hplab._kernels import integrate_path
+from hplab.green import green_eval, robin_gamma
 from hplab.scurve import (
+    CompactSet,
+    EndpointMismatch,
     NotGeneralPosition,
     QuadraticDifferential,
+    SelfIntersection,
+    _check_disjoint,
     admissibility_check,
     chebotarev_solve,
     polyline_hausdorff,
@@ -68,6 +73,60 @@ def test_p2_trace_disjoint_arcs(qd_p2):
     # arcs stay well apart
     d = np.abs(comp.arcs[0][:, None] - comp.arcs[1][None, :])
     assert float(d.min()) > 1e-3
+
+
+@pytest.fixture(params=["qd_p1", "qd_p2", "qd_sheets_p2"])
+def qd_any(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_trace_equispaced_in_natural_parameter(qd_any):
+    """Each edge of a traced arc carries 1/N of G(b) = int_a^b sqrt(Q),
+    integrated independently along the pair's routed path."""
+    num, den = qd_any.numerator_roots, qd_any.denominator_roots
+    comp = trace_compact(qd_any)
+    lengths = []
+    for (a, b), arc in zip(comp.pairing, comp.arcs):
+        total, _ = integrate_path(num, den, route_around(a, b, num + den))
+        state, incs = 0j, []
+        for z0, z1 in zip(arc[:-1], arc[1:]):
+            g, state = integrate_path(num, den, [z0, z1], w0=state)
+            incs.append(g)
+        if (incs[0] * total.conjugate()).real < 0:
+            total = -total
+        ds = total / (len(arc) - 1)
+        assert max(abs(g - ds) for g in incs) <= 1e-10 * abs(total)
+        lengths.append(abs(total))
+    # sqrt(Q) ~ 1/t at infinity, so the arcs carry the whole period pi
+    assert abs(sum(lengths) - math.pi) <= 1e-12
+
+
+def test_green_vanishes_on_traced_vertices(qd_any):
+    for arc in trace_compact(qd_any).arcs:
+        assert max(green_eval(qd_any, list(arc[1:-1])).values) <= 1e-11
+
+
+def test_trace_is_deterministic(qd_sheets_p2):
+    first, second = trace_compact(qd_sheets_p2), trace_compact(qd_sheets_p2)
+    assert all(np.array_equal(a, b) for a, b in zip(first.arcs, second.arcs))
+
+
+def test_trace_rejects_shifted_double_zero(qd_p2):
+    # off the solved double zero the periods no longer vanish
+    w = qd_p2.double_zeros[0] + 0.2j
+    qd = QuadraticDifferential(numerator_roots=(w, w), denominator_roots=qd_p2.denominator_roots)
+    with pytest.raises(EndpointMismatch):
+        trace_compact(qd)
+
+
+def test_check_disjoint_sees_vertex_near_an_edge():
+    # all vertices are at least 5e-3 apart, but the second arc starts 5e-4
+    # above the first arc's first edge
+    first = np.asarray([0.0, 0.01, 0.02], dtype=complex)
+    second = np.asarray([0.005 + 0.0005j, 0.005 + 0.1j])
+    comp = CompactSet(arcs=(first, second), endpoints=())
+    with pytest.raises(SelfIntersection):
+        _check_disjoint(comp, 1.0)
 
 
 def test_p2_admissibility(qd_p2):
