@@ -6,15 +6,30 @@ germ         series expansion + independent contour-quadrature cross-check
 hp           type-I Hermite-Pade solve + order certificate + polynomial roots
 stahl        extremal-compact solve + trajectory trace + admissibility
 green        Green-function grid + Robin constants by both routes + ranking
-nuttall      sheet-function grid report
+nuttall      sheet-function grid report + ``boundary_separation`` (distance
+             of the 2|3 boundary pi(F) from the cut [-1, 1]) + ``disk_margin``
+             (1 - max |zeta| over F)
 equilibrium  equilibrium measure + residual + distance to Hermite-Pade zeros
              (compacts of one arc only)
 figure-data  zero clouds (Pade + Hermite-Pade) and the traced compact
 
-Exit status: 0 success, 1 input/spec error, 2 numeric-contract failure.
-All outputs are deterministic for a fixed config; CSV files carry
+Options, besides ``--spec`` and ``--out`` which every subcommand takes
+----------------------------------------------------------------------
+germ, equilibrium, figure-data   --n, --precision-bits, --tol
+hp                               --k, --n, --precision-bits, --tol
+stahl                            --tol
+green, nuttall                   --tol, --grid COUNT[:BOX]
+
+``--tol`` bounds the oracle error in germ, the period conditions in stahl,
+green and nuttall, and the roots (backward error and relative inclusion
+radii) in the other three.
+
+Exit status: 0 success, 1 usage or input/spec error, 2 numeric-contract
+failure.  All outputs are deterministic for a fixed config; CSV files carry
 ``#command`` and ``#config-hash`` provenance lines, JSON files a
-``_provenance`` object.  Files are written atomically (temp + rename).
+``_provenance`` object.  The config hash covers the command, the options
+given and the spec document's bytes, not where the files sit.  Files are
+written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -22,10 +37,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 
+import mpmath as mp
 import numpy as np
 
 from . import equilibrium as eq
@@ -34,7 +51,7 @@ from . import nuttall as nt
 from . import scurve as sc
 from . import series as se
 from . import hermite_pade as hp_mod
-from .funcspec import FunctionSpec, SpecError, derived_points, validate_spec
+from .funcspec import SpecError, derived_points, validate_spec
 from .hermite_pade import HermitePadeError
 from .nuttall import NuttallError
 from .scurve import SCurveError
@@ -46,20 +63,8 @@ class NumericFailure(RuntimeError):
     pass
 
 
-_NUMERIC_ERRORS = (
-    HermitePadeError,
-    SCurveError,
-    GreenError,
-    NuttallError,
-    EquilibriumError,
-    se.SeriesError,
-    NumericFailure,
-)
-
-
-def _config_hash(command: str, cfg: dict) -> str:
-    payload = json.dumps({"command": command, **cfg}, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+_NUMERIC_ERRORS = (HermitePadeError, SCurveError, GreenError, NuttallError,
+                   EquilibriumError, se.SeriesError, NumericFailure)
 
 
 def _atomic_write(path: str, text: str):
@@ -76,133 +81,81 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, command: str, cfg_hash: str, header, rows):
-    lines = [f"#command: {command}", f"#config-hash: {cfg_hash}", ",".join(header)]
+def _write_csv(args, name: str, header, rows):
     def fmt(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return repr(float(v))
+        return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
 
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = [f"#command: {args.command}", f"#config-hash: {args.config_hash}", ",".join(header)]
+    lines += (",".join(fmt(v) for v in row) for row in rows)
+    _atomic_write(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
 
-def _write_roots(path: str, command: str, cfg_hash: str, zs):
-    _write_csv(
-        path,
-        command,
-        cfg_hash,
-        ("re", "im", "multiplicity"),
-        [(float(r.real), float(r.imag), m) for r, m in zip(zs.roots, zs.multiplicities)],
-    )
+def _write_roots(args, name: str, zs):
+    _write_csv(args, name, ("re", "im", "multiplicity"),
+               [(r.real, r.imag, m) for r, m in zip(zs.roots, zs.multiplicities)])
 
 
-def _write_json(path: str, command: str, cfg_hash: str, doc: dict):
-    doc = {"_provenance": {"command": command, "config_hash": cfg_hash}, **doc}
-    _atomic_write(path, json.dumps(doc, indent=2, default=str) + "\n")
-
-
-def _load_spec(path: str) -> FunctionSpec:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read spec document: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"spec document is not valid JSON: {exc}") from exc
-    return validate_spec(raw)
-
-
-def _tilde_points(spec: FunctionSpec):
-    """Branch-point images in the uniformizing coordinate (the points the
-    extremal compact must join)."""
-    return list(derived_points(spec).zeta_images)
-
-
-def _germ_lengths(k: int, n: int) -> int:
-    return n + hp_mod.contract_order(k, n) + 25
+def _write_json(args, name: str, doc: dict):
+    doc = {"_provenance": {"command": args.command, "config_hash": args.config_hash}, **doc}
+    _atomic_write(os.path.join(args.out, name), json.dumps(doc, indent=2, default=str) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_germ(args, cfg_hash):
-    spec = _load_spec(args.spec)
+def _cmd_germ(args, spec):
     n = args.n or 64
     prec = args.precision_bits or se.default_precision_bits(n)
     tol = args.tol or 1e-30
-    f, f2, f3 = se.germ_of_family(spec, n, prec)
+    f = se.germ_of_family(spec, n, prec)[0]
     oracle = se.oracle_coeffs(spec, n, precision_bits=prec)
-    import mpmath as mp
-
     with mp.workprec(prec):
-        rel = 0.0
         scale = f.max_abs()
-        for a, b in zip(f.coeffs, oracle.coeffs):
-            rel = max(rel, float(abs(a - b) / scale))
-    _write_json(os.path.join(args.out, "germ.json"), "germ", cfg_hash, f.to_json())
-    _write_json(
-        os.path.join(args.out, "germ_report.json"),
-        "germ",
-        cfg_hash,
-        {"n": n, "precision_bits": prec, "oracle_max_rel_err": rel, "tol": tol},
-    )
+        rel = max(float(abs(a - b) / scale) for a, b in zip(f.coeffs, oracle.coeffs))
+    _write_json(args, "germ.json", f.to_json())
+    _write_json(args, "germ_report.json",
+                {"n": n, "precision_bits": prec, "oracle_max_rel_err": rel, "tol": tol})
     if rel > tol:
-        raise NumericFailure(
-            f"series: germ disagrees with contour oracle ({rel:.3e} > {tol:.3e})"
-        )
+        raise NumericFailure(f"series: germ disagrees with contour oracle ({rel:.3e} > {tol:.3e})")
     return 0
 
 
 def _solve_hp(spec, k, n, prec):
-    germs = se.germ_of_family(spec, _germ_lengths(k, n), prec)
-    sol = hp_mod.hp_type1(list(germs[: k - 1]), n, prec)
-    order = hp_mod.residual_order(sol, list(germs[: k - 1]))
-    return sol, order
+    germs = se.germ_of_family(spec, n + hp_mod.contract_order(k, n) + 25, prec)[: k - 1]
+    sol = hp_mod.hp_type1(list(germs), n, prec)
+    return sol, hp_mod.residual_order(sol, list(germs))
 
 
-def _cmd_hp(args, cfg_hash):
-    spec = _load_spec(args.spec)
+def _zeros(args, poly):
+    """Roots and zero-counting measure of ``poly``, to ``--tol``."""
+    return hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
+
+
+def _cmd_hp(args, spec):
     k = args.k or 3
     n = args.n or 20
     prec = args.precision_bits or 2048
     sol, order = _solve_hp(spec, k, n, prec)
-    import mpmath as mp
-
     for j, poly in enumerate(sol.polys):
         with mp.workprec(prec):
-            doc = {
-                "degree_bound": n,
-                "coeffs": [mp.nstr(c, int(prec * 0.30103) + 10) for c in poly],
-            }
-        _write_json(os.path.join(args.out, f"Q_{n}_{j}.json"), "hp", cfg_hash, doc)
-        zs, _ = hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
-        _write_roots(os.path.join(args.out, f"Q_{n}_{j}_roots.csv"), "hp", cfg_hash, zs)
-    _write_json(
-        os.path.join(args.out, "hp_report.json"),
-        "hp",
-        cfg_hash,
-        {
-            "k": k,
-            "n": n,
-            "precision_bits": prec,
-            "achieved_order": order,
-            "contract_order": hp_mod.contract_order(k, n),
-            "degenerate_kernel": sol.degenerate_kernel,
-        },
-    )
+            coeffs = [mp.nstr(c, int(prec * 0.30103) + 10) for c in poly]
+        _write_json(args, f"Q_{n}_{j}.json", {"degree_bound": n, "coeffs": coeffs})
+        zs, _ = _zeros(args, poly)
+        _write_roots(args, f"Q_{n}_{j}_roots.csv", zs)
+    _write_json(args, "hp_report.json", {
+        "k": k, "n": n, "precision_bits": prec, "achieved_order": order,
+        "contract_order": hp_mod.contract_order(k, n), "degenerate_kernel": sol.degenerate_kernel,
+    })
     return 0
 
 
-def _solve_compact(spec, tol):
-    pts = _tilde_points(spec)
-    qd = sc.chebotarev_solve(pts, tol=tol or 1e-11)
-    comp = sc.trace_compact(qd)
-    return qd, comp
+def _solve_compact(spec, tol=None):
+    """Extremal compact through the branch-point images; ``tol=None``
+    keeps the period tolerance of :func:`scurve.chebotarev_solve`."""
+    pts = list(derived_points(spec).zeta_images)
+    qd = sc.chebotarev_solve(pts) if tol is None else sc.chebotarev_solve(pts, tol=tol)
+    return qd, sc.trace_compact(qd)
 
 
 def _projected(arc) -> np.ndarray:
@@ -210,57 +163,32 @@ def _projected(arc) -> np.ndarray:
     return (arc + 1 / arc) / 2
 
 
-def _cmd_stahl(args, cfg_hash):
-    spec = _load_spec(args.spec)
+def _cmd_stahl(args, spec):
     qd, comp = _solve_compact(spec, args.tol)
     report = sc.admissibility_check(comp)
     for i, arc in enumerate(comp.arcs):
         s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(arc)))])
-        _write_csv(
-            os.path.join(args.out, f"arc_{i}.csv"),
-            "stahl",
-            cfg_hash,
-            ("s", "re_zeta", "im_zeta"),
-            [(float(si), float(z.real), float(z.imag)) for si, z in zip(s, arc)],
-        )
-        _write_csv(
-            os.path.join(args.out, f"arc_{i}_projection.csv"),
-            "stahl",
-            cfg_hash,
-            ("re_z", "im_z"),
-            [(float(z.real), float(z.imag)) for z in _projected(arc)],
-        )
-    _write_json(
-        os.path.join(args.out, "stahl_report.json"),
-        "stahl",
-        cfg_hash,
-        {
-            "double_zeros": [str(v) for v in qd.double_zeros],
-            "period_residual": qd.residual,
-            "pairing": [[str(a), str(b)] for a, b in comp.pairing],
-            "on_second_sheet": report.on_second_sheet,
-            "complement_connected": report.complement_connected,
-            "single_valued": report.single_valued,
-        },
-    )
+        _write_csv(args, f"arc_{i}.csv", ("s", "re_zeta", "im_zeta"),
+                   [(si, z.real, z.imag) for si, z in zip(s, arc)])
+        _write_csv(args, f"arc_{i}_projection.csv", ("re_z", "im_z"),
+                   [(z.real, z.imag) for z in _projected(arc)])
+    _write_json(args, "stahl_report.json", {
+        "double_zeros": [str(v) for v in qd.double_zeros],
+        "period_residual": qd.residual,
+        "pairing": [[str(a), str(b)] for a, b in comp.pairing],
+        "on_second_sheet": report.on_second_sheet,
+        "complement_connected": report.complement_connected,
+        "single_valued": report.single_valued,
+    })
     if not report.all_ok():
         raise NumericFailure("scurve: traced compact failed admissibility")
     return 0
 
 
-def _parse_grid(text, default_n=2500, default_box=2.0):
-    if not text:
-        return default_n, default_box
-    parts = text.split(":")
-    n = int(parts[0])
-    box = float(parts[1]) if len(parts) > 1 else default_box
-    return n, box
-
-
-def _cmd_green(args, cfg_hash):
-    spec = _load_spec(args.spec)
-    qd, comp = _solve_compact(spec, args.tol)
-    n_grid, box = _parse_grid(args.grid)
+def _cmd_green(args, spec):
+    qd, _ = _solve_compact(spec, args.tol)
+    n_grid, box = args.grid or (2500, None)
+    box = box or 2.0
     rng = np.random.default_rng(11)
     pts = []
     while len(pts) < n_grid:
@@ -268,13 +196,8 @@ def _cmd_green(args, cfg_hash):
         if min(abs(z - complex(r)) for r in qd.denominator_roots) > 1e-3:
             pts.append(z)
     ev = gr.green_eval(qd, pts)
-    _write_csv(
-        os.path.join(args.out, "green_grid.csv"),
-        "green",
-        cfg_hash,
-        ("re_zeta", "im_zeta", "g"),
-        [(z.real, z.imag, v) for z, v in zip(ev.points, ev.values)],
-    )
+    _write_csv(args, "green_grid.csv", ("re_zeta", "im_zeta", "g"),
+               [(z.real, z.imag, v) for z, v in zip(ev.points, ev.values)])
     doc = {"robin_path_integral": ev.robin, "capacity": ev.capacity, "seed": 11}
     if len(qd.denominator_roots) == 2:
         a, b = (complex(r) for r in qd.denominator_roots)
@@ -289,124 +212,138 @@ def _cmd_green(args, cfg_hash):
         }
         if cmp.extremal_label != "extremal":
             raise NumericFailure("green: extremal compact did not maximize the Robin constant")
-    _write_json(os.path.join(args.out, "green_report.json"), "green", cfg_hash, doc)
+    _write_json(args, "green_report.json", doc)
     return 0
 
 
-def _cmd_nuttall(args, cfg_hash):
-    spec = _load_spec(args.spec)
-    qd, _ = _solve_compact(spec, args.tol)
-    n_grid, box = _parse_grid(args.grid, default_n=10_000, default_box=4.0)
-    grid = nt.default_grid(qd, n_grid, box=box)
-    rep = nt.nuttall_report(qd, grid)
-    _write_csv(
-        os.path.join(args.out, "nuttall_grid.csv"),
-        "nuttall",
-        cfg_hash,
-        ("re_z", "im_z", "u1", "u2", "u3", "u4"),
-        [
-            (z.real, z.imag, *[float(u) for u in row])
-            for z, row in zip(rep.grid, rep.u)
-        ],
-    )
-    _write_json(
-        os.path.join(args.out, "nuttall_report.json"),
-        "nuttall",
-        cfg_hash,
-        {
-            "grid_points": len(rep.grid),
-            "grid_seed": 7,
-            "min_gaps": list(rep.min_gaps),
-            "max_abs_sum": rep.max_abs_sum,
-            "slope_u1": rep.slope_u1,
-            "slope_stderr": rep.slope_stderr,
-        },
-    )
+def _cmd_nuttall(args, spec):
+    qd, comp = _solve_compact(spec, args.tol)
+    n_grid, box = args.grid or (10_000, None)
+    rep = nt.nuttall_report(qd, nt.default_grid(qd, n_grid, box=box or 4.0))
+    _write_csv(args, "nuttall_grid.csv", ("re_z", "im_z", "u1", "u2", "u3", "u4"),
+               [(z.real, z.imag, *row) for z, row in zip(rep.grid, rep.u)])
+    # the theorem: pi(F), the 2|3 boundary, stays off the cut [-1, 1] (the
+    # 1|2 and 3|4 boundary), and F stays inside the unit disk
+    zeta = comp.all_points()
+    z = _projected(zeta)
+    separation = float(np.min(np.hypot(np.maximum(np.abs(z.real) - 1, 0), z.imag)))
+    margin = 1 - float(np.max(np.abs(zeta)))
+    _write_json(args, "nuttall_report.json", {
+        "grid_points": len(rep.grid),
+        "grid_seed": 7,
+        "min_gaps": list(rep.min_gaps),
+        "max_abs_sum": rep.max_abs_sum,
+        "slope_u1": rep.slope_u1,
+        "slope_stderr": rep.slope_stderr,
+        "boundary_separation": separation,
+        "disk_margin": margin,
+    })
     if min(rep.min_gaps) <= 0:
         raise NumericFailure("nuttall: sheet ordering violated on the grid")
+    if separation <= 0 or margin <= 0:
+        raise NumericFailure("nuttall: pi(F) meets the cut or F leaves the unit disk")
     return 0
 
 
-def _cmd_equilibrium(args, cfg_hash):
-    spec = _load_spec(args.spec)
-    _, comp = _solve_compact(spec, args.tol)
+def _cmd_equilibrium(args, spec):
+    _, comp = _solve_compact(spec)
     if len(comp.arcs) > 1:
         raise SpecError(
             f"equilibrium solves on one arc; this spec's compact has {len(comp.arcs)}"
         )
     n_cells = args.n or 400
-    arc_z = _projected(comp.arcs[0])
-    rep = eq.solve_equilibrium(arc_z, n_cells)
-    _write_csv(
-        os.path.join(args.out, "equilibrium_measure.csv"),
-        "equilibrium",
-        cfg_hash,
-        ("re_z", "im_z", "weight"),
-        [(z.real, z.imag, float(w)) for z, w in zip(rep.nodes, rep.weights)],
-    )
-    doc = {
+    rep = eq.solve_equilibrium(_projected(comp.arcs[0]), n_cells)
+    _write_csv(args, "equilibrium_measure.csv", ("re_z", "im_z", "weight"),
+               [(z.real, z.imag, w) for z, w in zip(rep.nodes, rep.weights)])
+    n_hp = 40
+    prec = args.precision_bits or max(2048, 64 * n_hp + 512)
+    sol, _ = _solve_hp(spec, 3, n_hp, prec)
+    _, mu = _zeros(args, sol.polys[2])
+    _write_json(args, "equilibrium_report.json", {
         "cells": n_cells,
         "residual_sup": rep.residual_sup,
         "modified_robin": rep.modified_robin,
         "energy": rep.energy,
-    }
-    n_hp = 40
-    prec = args.precision_bits or max(2048, 64 * n_hp + 512)
-    sol, _ = _solve_hp(spec, 3, n_hp, prec)
-    _, mu = hp_mod.polyroots_and_measure(sol.polys[2], tol=args.tol or 1e-10)
-    doc["hp_zero_measure_distance"] = eq.measure_distance(mu, rep.as_measure())
-    _write_json(os.path.join(args.out, "equilibrium_report.json"), "equilibrium", cfg_hash, doc)
+        "hp_zero_measure_distance": eq.measure_distance(mu, rep.as_measure()),
+    })
     return 0
 
 
-def _cmd_figure_data(args, cfg_hash):
-    spec = _load_spec(args.spec)
-    n = args.n or (40 if spec.class_tag == "single-interval" else 20)
+def _cmd_figure_data(args, spec):
+    single_interval = spec.class_tag == "single-interval"
+    n = args.n or (40 if single_interval else 20)
     prec = args.precision_bits or max(2048, 64 * n + 512)
 
     # Pade denominator zeros (accumulate on the base interval system)
     n_pade = min(n, 30)
     sol2, _ = _solve_hp(spec, 2, n_pade, prec)
-    zs2, _ = hp_mod.polyroots_and_measure(sol2.polys[1], tol=args.tol or 1e-10)
-    _write_roots(os.path.join(args.out, "pade_zeros.csv"), "figure-data", cfg_hash, zs2)
+    zs, _ = _zeros(args, sol2.polys[1])
+    _write_roots(args, "pade_zeros.csv", zs)
 
     # Hermite-Pade zero clouds for the [1, f, f^2] system
     sol3, order3 = _solve_hp(spec, 3, n, prec)
     for j, poly in enumerate(sol3.polys):
-        zs, _ = hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
-        _write_roots(os.path.join(args.out, f"hp_zeros_q{j}.csv"), "figure-data", cfg_hash, zs)
+        zs, _ = _zeros(args, poly)
+        _write_roots(args, f"hp_zeros_q{j}.csv", zs)
 
-    doc = {"n": n, "pade_n": n_pade, "precision_bits": prec, "hp_order": order3}
-    if spec.class_tag == "single-interval":
-        _, comp = _solve_compact(spec, args.tol)
-        _write_csv(
-            os.path.join(args.out, "scurve_projection.csv"),
-            "figure-data",
-            cfg_hash,
-            ("arc", "re_z", "im_z"),
-            [
-                (i, float(z.real), float(z.imag))
-                for i, arc in enumerate(comp.arcs)
-                for z in _projected(arc)
-            ],
-        )
-        doc["compact_traced"] = True
-    else:
-        # the uniformizing chart of the two-interval class is not a single
-        # inverse-Zhukovskii disk; only the zero clouds are emitted
-        doc["compact_traced"] = False
-    _write_json(os.path.join(args.out, "figure_data_report.json"), "figure-data", cfg_hash, doc)
+    # the uniformizing chart of the two-interval class is not a single
+    # inverse-Zhukovskii disk; there only the zero clouds are emitted
+    if single_interval:
+        _, comp = _solve_compact(spec)
+        _write_csv(args, "scurve_projection.csv", ("arc", "re_z", "im_z"),
+                   [(i, z.real, z.imag)
+                    for i, arc in enumerate(comp.arcs) for z in _projected(arc)])
+    _write_json(args, "figure_data_report.json", {
+        "n": n, "pade_n": n_pade, "precision_bits": prec, "hp_order": order3,
+        "compact_traced": single_interval,
+    })
     return 0
 
 
+# ---------------------------------------------------------------------------
+# options
+
+
+def _checked(convert, ok, what):
+    """argparse ``type=`` that converts a value and rejects it unless ``ok``."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
+def _grid(text):
+    """COUNT[:BOX] as (COUNT, BOX or None)."""
+    count, _, box = text.partition(":")
+    return _count(count), _positive(box) if box else None
+
+
+_OPTIONS = {
+    "--k": dict(type=int, choices=(2, 3, 4), help="family size for Hermite-Pade systems"),
+    "--n": dict(type=_count, help="degree / germ length / cell count"),
+    "--precision-bits": dict(type=_checked(int, lambda v: v >= 64, "an integer >= 64")),
+    "--tol": dict(type=_positive, help="tolerance of the command's numeric contract"),
+    "--grid": dict(type=_grid, metavar="COUNT[:BOX]", help="grid size and half-width"),
+}
+
+# subcommand -> (handler, the options it reads)
 _COMMANDS = {
-    "germ": _cmd_germ,
-    "hp": _cmd_hp,
-    "stahl": _cmd_stahl,
-    "green": _cmd_green,
-    "nuttall": _cmd_nuttall,
-    "equilibrium": _cmd_equilibrium,
-    "figure-data": _cmd_figure_data,
+    "germ": (_cmd_germ, ("--n", "--precision-bits", "--tol")),
+    "hp": (_cmd_hp, ("--k", "--n", "--precision-bits", "--tol")),
+    "stahl": (_cmd_stahl, ("--tol",)),
+    "green": (_cmd_green, ("--tol", "--grid")),
+    "nuttall": (_cmd_nuttall, ("--tol", "--grid")),
+    "equilibrium": (_cmd_equilibrium, ("--n", "--precision-bits", "--tol")),
+    "figure-data": (_cmd_figure_data, ("--n", "--precision-bits", "--tol")),
 }
 
 
@@ -415,35 +352,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hplab", description="Hermite-Pade / extremal-compact laboratory"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="JSON spec document")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--n", type=int, default=None, help="degree / cell count")
-        p.add_argument("--k", type=int, choices=(2, 3, 4), default=None,
-                       help="family size for Hermite-Pade systems")
-        p.add_argument("--precision-bits", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--grid", default=None, help="grid as COUNT[:BOX]")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command",) and v is not None
-    }
     try:
-        with open(args.spec, "rb") as fh:
-            cfg["spec_sha256"] = hashlib.sha256(fh.read()).hexdigest()[:16]
-    except OSError:
-        pass
-    cfg_hash = _config_hash(args.command, cfg)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a numeric failure
+        if exc.code:
+            raise SystemExit(1) from None
+        raise
+    handler, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, cfg_hash)
+        try:
+            with open(args.spec, "rb") as fh:
+                raw = fh.read()
+            doc = json.loads(raw)
+        except OSError as exc:
+            raise SpecError(f"cannot read spec document: {exc}") from exc
+        except ValueError as exc:
+            raise SpecError(f"spec document is not valid JSON: {exc}") from exc
+        cfg = {k: v for k, v in vars(args).items() if k not in ("spec", "out") and v is not None}
+        cfg["spec_sha256"] = hashlib.sha256(raw).hexdigest()[:16]
+        args.config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+        return handler(args, validate_spec(doc))
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

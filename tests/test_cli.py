@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hplab.cli import main
+from hplab.cli import _COMMANDS, _OPTIONS, main
 from hplab.scurve import trace_compact
 
 from conftest import RAW_P2, RAW_Z, RAW_Z2
@@ -191,3 +191,74 @@ def test_config_hash_tracks_parameters(spec_file_z, tmp_path):
     ha = json.loads((out_a / "germ_report.json").read_text())["_provenance"]["config_hash"]
     hb = json.loads((out_b / "germ_report.json").read_text())["_provenance"]["config_hash"]
     assert ha != hb
+
+
+_VALID = {"--k": "3", "--n": "8", "--precision-bits": "256", "--tol": "1e-8", "--grid": "10"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_options_a_command_does_not_read_are_usage_errors(command, spec_file_z, tmp_path):
+    out = tmp_path / "out"
+    _, taken = _COMMANDS[command]
+    assert set(taken) <= set(_OPTIONS)
+    for flag in sorted(set(_OPTIONS) - set(taken)) + ["--foo"]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", spec_file_z, "--out", str(out), flag, _VALID.get(flag, "1")])
+        assert exc.value.code == 1, flag
+    assert not out.exists()
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        main(["nuttall", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["hp", "--k", "2", "--n", "0"],
+    ["germ", "--n", "0"],
+    ["germ", "--precision-bits", "10"],
+    ["germ", "--tol", "0"],
+    ["stahl", "--tol", "-1e-8"],
+    ["green", "--tol", "nan"],
+    ["green", "--grid", "abc"],
+    ["green", "--grid", "0"],
+    ["nuttall", "--grid", "0"],
+    ["nuttall", "--grid", "10:0"],
+    ["hp", "--k", "5"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_bad_option_values_are_usage_errors(argv, spec_file_z, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--spec", spec_file_z, "--out", str(out), *argv[1:]])
+    assert exc.value.code == 1
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_hash_independent_of_paths(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        spec = tmp_path / name / "spec.json"
+        spec.parent.mkdir()
+        spec.write_text(json.dumps(RAW_Z))
+        out = tmp_path / f"out_{name}"
+        assert main(["stahl", "--spec", str(spec), "--out", str(out)]) == 0
+        runs.append(_read_all(out))
+    assert runs[0] == runs[1]
+
+
+def test_nuttall_reports_the_theorem(spec_file_z, spec_file_p2, tmp_path):
+    # F = [1/3, 1/2] for RAW_Z, and pi(1/2) = 5/4
+    out = tmp_path / "z"
+    assert main(["nuttall", "--spec", spec_file_z, "--out", str(out), "--grid", "60"]) == 0
+    report = json.loads((out / "nuttall_report.json").read_text())
+    assert abs(report["boundary_separation"] - 0.25) < 1e-12
+    assert abs(report["disk_margin"] - 0.5) < 1e-12
+    # for RAW_P2 the separation is reached at the endpoint 1/(-1.6 + 0.8i),
+    # whose projection is -1.05 - 0.275i; the disk margin inside an arc
+    out = tmp_path / "p2"
+    assert main(["nuttall", "--spec", spec_file_p2, "--out", str(out), "--grid", "100"]) == 0
+    report = json.loads((out / "nuttall_report.json").read_text())
+    assert abs(report["boundary_separation"] - math.sqrt(0.078125)) < 1e-12
+    assert 0 < report["disk_margin"] < 0.5
