@@ -8,6 +8,13 @@ degree at most n, not all zero, with
 i.e. the coefficients of z^m vanish for -(k-1)(n+1) < m <= n.  That leaves
 k(n+1) unknowns against (k-1)(n+1) + n conditions, so the kernel is at least
 one-dimensional.
+
+In x = 1/z, with P_j(x) = x^n Q_j(1/x) and F_j the germ of f^j, the
+conditions read sum_j P_j F_j = O(x^sigma), sigma = k(n+1) - 1: an order
+(sigma-basis) problem.  :func:`hp_type1` solves it by the iteration of
+Beckermann & Labahn, one pivot and one elimination per power of x, in
+O(k^3 n^2) operations where dense elimination takes O(k^3 n^3).
+:func:`residual_order` certifies the result independently.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ def contract_order(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class HPSolution:
+    """Type-I polynomials Q_0..Q_{k-1} of one family and degree.
+
+    ``degenerate_kernel`` is set when the solutions of degree <= n span more
+    than one dimension, as read from the row degrees of the order basis
+    (see :func:`_order_basis`); ``polys`` is then one of them.
+    """
+
     family_size: int
     degree: int
     polys: tuple  # k coefficient vectors, ascending degree, length n+1
@@ -101,9 +115,12 @@ def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
     """Solve the type-I system for the germs of (1, f, ..., f^{k-1}).
 
     ``germs`` holds the k - 1 germs of f, ..., f^{k-1}; the germ of 1 is
-    implied.  Normalization: the trailing nonzero coefficient of the first
-    nonzero polynomial equals 1, which pins the projective scale so repeated
-    runs are bit-for-bit identical.
+    implied.  The solution is the row of least degree (at most n) of the
+    order basis that :func:`_order_basis` builds to order sigma = k(n+1) - 1,
+    with its coefficients reversed from P_j(x) into Q_j(z).  Normalization:
+    the trailing nonzero coefficient of the first nonzero polynomial equals
+    1, which pins the projective scale so repeated runs are bit-for-bit
+    identical.
     """
     germs = list(germs)
     if n < 0:
@@ -121,94 +138,68 @@ def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
                 f"germ has {len(g)} coefficients, need at least {need} for k={k}, n={n}"
             )
 
-    order = contract_order(k, n)
-    n_rows = order + n  # z^m conditions for -(order) < m <= n
-    n_cols = k * (n + 1)
-
     with mp.workprec(prec):
-        rows = []
-        for m in range(n, -order, -1):
-            row = [mp.mpf(0)] * n_cols
-            for j in range(k):
-                cj = germs[j].coeffs
-                for i in range(n + 1):
-                    idx = i - m
-                    if 0 <= idx < len(cj):
-                        row[j * (n + 1) + i] = cj[idx]
-            rows.append(row)
-        kernel, degenerate = _null_vectors(rows, n_rows, n_cols, prec)
-        polys = _split_and_normalize(kernel, k, n, prec)
-
+        deg, rows = _order_basis([g.coeffs for g in germs], need, prec)
+        best = min(range(k), key=deg.__getitem__)
+        # rows have length deg + 1 <= n + 1; Q_j holds P_j's coefficients reversed
+        polys = [(p + [mp.mpf(0)] * (n - deg[best]))[::-1] for p in rows[best]]
+        polys = _normalize(polys, prec)
     return HPSolution(
         family_size=k,
         degree=n,
         polys=polys,
         precision_bits=prec,
-        degenerate_kernel=degenerate,
+        degenerate_kernel=sum(max(0, n + 1 - d) for d in deg) > 1,
     )
 
 
-def _null_vectors(rows, n_rows, n_cols, prec):
-    """Kernel of the (n_rows x n_cols) matrix by column-pivoted elimination.
+def _order_basis(series, sigma, prec):
+    """Order basis of the series F_j (ascending coefficients in x) to order
+    x^sigma, by the iteration of Beckermann & Labahn (SIAM J. Matrix Anal.
+    Appl. 15, 1994).
 
-    Returns one kernel vector and a degeneracy flag, set when pivots fall
-    below the 2^{-prec/2} relative threshold before the kernel is one
-    dimensional.
+    Row r of the basis holds polynomials (P_{r,0}, ..., P_{r,k-1}) with
+    sum_j P_{r,j} F_j = O(x^sigma).  Starting from the identity, step t
+    reads each row's residual coefficient e_r at x^t, takes as pivot a row of
+    least degree among those with |e_r| above 2^{-prec/2} of the row's scale
+    (its largest coefficient times the largest of the F_j; the largest |e_r|
+    on ties), removes e_r from every other row of at least the pivot's
+    degree, and multiplies the pivot row by x.  The row degrees
+    ``deg`` are those of a reduced basis: the polynomial vectors of degree
+    <= n with the order are spanned by the rows of degree <= n, a space of
+    dimension sum_r max(0, n + 1 - deg[r]).  Returns ``deg`` and the rows.
     """
-    a = [row[:] for row in rows]
-    col_of = list(range(n_cols))
-    scale = max((abs(x) for row in a for x in row), default=mp.mpf(1))
-    if scale == 0:
-        scale = mp.mpf(1)
-    tiny = scale * mp.mpf(2) ** (-(prec // 2))
-    rank = 0
-    for r in range(n_rows):
-        # pivot: largest entry in the remaining block
-        best, bi, bj = mp.mpf(-1), -1, -1
-        for i in range(rank, n_rows):
-            for j in range(rank, n_cols):
-                v = abs(a[i][j])
-                if v > best:
-                    best, bi, bj = v, i, j
-        if best <= tiny:
-            break
-        a[rank], a[bi] = a[bi], a[rank]
-        if bj != rank:
-            for row in a:
-                row[rank], row[bj] = row[bj], row[rank]
-            col_of[rank], col_of[bj] = col_of[bj], col_of[rank]
-        piv = a[rank][rank]
-        for i in range(rank + 1, n_rows):
-            f = a[i][rank] / piv
-            if f != 0:
-                ai, ar = a[i], a[rank]
-                for j in range(rank, n_cols):
-                    ai[j] -= f * ar[j]
-        rank += 1
-
-    free = list(range(rank, n_cols))
-    if not free:
-        raise HermitePadeError("empty kernel: the defect-one structure was violated")
-
-    def back_substitute(free_col):
-        x = [mp.mpf(0)] * n_cols
-        x[free_col] = mp.mpf(1)
-        for r in range(rank - 1, -1, -1):
-            s = mp.mpf(0)
-            for j in range(r + 1, n_cols):
-                if x[j] != 0:
-                    s += a[r][j] * x[j]
-            x[r] = -s / a[r][r]
-        out = [mp.mpf(0)] * n_cols
-        for pos, col in enumerate(col_of):
-            out[col] = x[pos]
-        return out
-
-    return back_substitute(free[0]), len(free) > 1
+    k = len(series)
+    g_scale = max(abs(c) for f in series for c in f[:sigma])
+    tiny = g_scale * mp.mpf(2) ** (-(prec // 2))
+    rows = [[[mp.mpf(int(i == j))] for j in range(k)] for i in range(k)]
+    res = [list(f[:sigma]) for f in series]  # residual series of each row
+    deg = [0] * k
+    for t in range(sigma):
+        e = [r[t] for r in res]
+        live = [r for r in range(k)
+                if abs(e[r]) > tiny * max(abs(c) for p in rows[r] for c in p)]
+        if not live:
+            continue
+        piv = min(live, key=lambda r: (deg[r], -abs(e[r])))
+        rp, sp = rows[piv], res[piv]
+        for r in range(k):
+            if r == piv or deg[r] < deg[piv] or e[r] == 0:
+                continue
+            c = e[r] / e[piv]
+            sr = res[r]
+            for i in range(t + 1, sigma):
+                sr[i] -= c * sp[i]
+            for pr, pp in zip(rows[r], rp):
+                for i, v in enumerate(pp):
+                    pr[i] -= c * v
+        rows[piv] = [[mp.mpf(0)] + p for p in rp]
+        res[piv] = [mp.mpf(0)] + sp[:-1]
+        deg[piv] += 1
+    return deg, rows
 
 
-def _split_and_normalize(vec, k, n, prec):
-    polys = [list(vec[j * (n + 1): (j + 1) * (n + 1)]) for j in range(k)]
+def _normalize(polys, prec):
     scale = max(abs(c) for p in polys for c in p)
     tiny = scale * mp.mpf(2) ** (-(prec // 2))
     norm = None

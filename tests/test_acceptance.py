@@ -212,9 +212,11 @@ def test_criterion_10_two_interval_germ_oracle(spec_z2):
 
 @pytest.mark.parametrize("k,required", [(3, 42), (4, 63)])
 def test_criterion_10_two_interval_order_contract(k, required, germs_z2_n20):
+    t0 = time.monotonic()
     sol = hp_type1(list(germs_z2_n20[: k - 1]), 20, precision_bits=2048)
     order = residual_order(sol, list(germs_z2_n20[: k - 1]))
     assert order >= required
+    assert time.monotonic() - t0 <= 30.0
 
 
 def test_criterion_10_figure_data_end_to_end(tmp_path):

@@ -15,7 +15,7 @@ from hplab.hermite_pade import (
     polyroots_and_measure,
     residual_order,
 )
-from hplab.series import germ_of_family
+from hplab.series import LaurentGerm, germ_of_family
 
 
 PREC = 768
@@ -52,16 +52,17 @@ def _coeff_matrix_float(germs, k, n):
     return a
 
 
-def test_k3_n1_against_svd_null_space(spec_z, germs_z):
-    """Brute-force oracle: for a 5x6 system the kernel is computable directly
-    with an SVD in double precision."""
-    f, f2, _ = germs_z
+@pytest.mark.parametrize("k,n", [(3, 1), (2, 3), (2, 4)])
+def test_against_svd_null_space(k, n, germs_z):
+    """Brute-force oracle: for these small systems (5x6, 7x8 and 9x10) the
+    kernel is computable directly with an SVD in double precision."""
+    f = germs_z[0]
     one = type(f)((mp.mpf(1),) + (mp.mpf(0),) * f.order, f.precision_bits)
-    sol = hp_type1([f, f2], n=1, precision_bits=PREC)
-    a = _coeff_matrix_float([one, f, f2], 3, 1)
+    sol = hp_type1(germs_z[: k - 1], n=n, precision_bits=PREC)
+    a = _coeff_matrix_float([one] + list(germs_z[: k - 1]), k, n)
     _, s, vt = np.linalg.svd(a)
-    # 5 rows, 6 columns: full row rank means the kernel is exactly the last
-    # right singular vector
+    # one row fewer than columns: full row rank means the kernel is exactly
+    # the last right singular vector
     assert s[-1] > 1e-6 * s[0]
     kernel = vt[-1]
     v = np.array([float(c) for p in sol.polys for c in p])
@@ -70,6 +71,17 @@ def test_k3_n1_against_svd_null_space(spec_z, germs_z):
     # alignment with the SVD kernel vector
     cosang = abs(kernel @ v) / np.linalg.norm(v)
     assert cosang > 1 - 1e-10
+
+
+def test_degenerate_kernel_flagged():
+    # f = 1 + 2/z is a polynomial in 1/z: Q_1 = z R and Q_0 = -Q_1 f make
+    # the residual vanish for every R of degree <= n - 1, so the kernel has
+    # dimension n
+    n = 5
+    f = LaurentGerm((mp.mpf(1), mp.mpf(2)) + (mp.mpf(0),) * 40, 256)
+    sol = hp_type1([f], n=n, precision_bits=256)
+    assert sol.degenerate_kernel
+    assert residual_order(sol, [f]) >= contract_order(2, n)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
