@@ -4,6 +4,13 @@ A germ is a finite vector (c_0, ..., c_N) standing for sum c_k z^{-k} with
 error O(z^{-N-1}).  All arithmetic runs under mpmath at an explicit binary
 precision; operations between germs use the larger of the two precisions and
 the shorter of the two truncations.
+
+The germ of f = prod (A_j - u)^{alpha_j}, u = 1/phi, alpha_j = +-1/2, is
+built from exact recurrences: u from its three-term Chebyshev recurrence,
+num(u) and den(u) (the products over alpha_j > 0 and alpha_j < 0) from
+u + 1/u = 2 (z - m) / h, then f^2 = num/den by one series division and f by
+one series square root.  Every product and recurrence sum is a dot product of
+exact term products, rounded once.
 """
 
 from __future__ import annotations
@@ -112,91 +119,63 @@ def germ_constant(c, n: int, prec: int) -> LaurentGerm:
 
 
 def _mul_trunc(a: list, b: list, n: int) -> list:
+    """First n coefficients of a * b (fewer if the product is shorter); each
+    is a dot product of exact term products, rounded once."""
     out = []
-    for k in range(n):
-        s = mp.mpf(0)
-        for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
-            s += a[i] * b[k - i]
-        out.append(s)
+    for k in range(min(n, len(a) + len(b) - 1)):
+        lo = max(0, k - len(b) + 1)
+        out.append(mp.fdot(a[lo : k + 1], b[k - lo :: -1]))
     return out
 
 
-def germ_inv(a: LaurentGerm) -> LaurentGerm:
-    """Reciprocal germ by Newton iteration x -> x(2 - a x)."""
-    prec = a.precision_bits
-    n = len(a)
-    with mp.workprec(prec + 16):
-        c0 = a.coeffs[0]
-        if c0 == 0:
-            raise ZeroConstantTerm("cannot invert a germ vanishing at infinity")
-        x = [1 / c0]
-        while len(x) < n:
-            m = min(2 * len(x), n)
-            ax = _mul_trunc(list(a.coeffs[:m]), x, m)
-            two_minus = [-t for t in ax]
-            two_minus[0] += 2
-            x = _mul_trunc(x, two_minus, m)
+def germ_div(a: LaurentGerm, b: LaurentGerm) -> LaurentGerm:
+    """Quotient a / b by the recurrence b_0 q_k = a_k - sum_{j=1..k} b_j q_{k-j}."""
+    n, prec = _join(a, b)
+    if b.coeffs[0] == 0:
+        raise ZeroConstantTerm("cannot divide by a germ vanishing at infinity")
     with mp.workprec(prec):
-        out = tuple(+c for c in x)
-    return LaurentGerm(out, prec)
+        out = _div_trunc(a.coeffs, b.coeffs, n)
+    return LaurentGerm(tuple(out), prec)
 
 
-def germ_isqrt(a: LaurentGerm) -> LaurentGerm:
-    """Inverse square root by the Newton step g -> g (3 - a g^2) / 2, seeded
-    with the principal root of the constant term."""
+def germ_sqrt(a: LaurentGerm, root=None) -> LaurentGerm:
+    """Square root g of a, seeded with ``root``, a square root of a_0
+    (default: the principal one).  g^2 = a gives, for k >= 1,
+
+        2 g_0 g_k = a_k - sum_{j=1..k-1} g_j g_{k-j},
+
+    a sum whose terms pair up, so each g_k costs about k/2 products."""
     prec = a.precision_bits
-    n = len(a)
-    with mp.workprec(prec + 16):
-        c0 = a.coeffs[0]
-        if c0 == 0:
-            raise ZeroConstantTerm("fractional power of a germ vanishing at infinity")
-        g = [1 / mp.sqrt(c0)]
-        while len(g) < n:
-            m = min(2 * len(g), n)
-            g2 = _mul_trunc(g, g, m)
-            ag2 = _mul_trunc(list(a.coeffs[:m]), g2, m)
-            corr = [-t / 2 for t in ag2]
-            corr[0] += mp.mpf(3) / 2
-            g = _mul_trunc(g, corr, m)
+    if a.coeffs[0] == 0:
+        raise ZeroConstantTerm("square root of a germ vanishing at infinity")
     with mp.workprec(prec):
-        out = tuple(+c for c in g)
-    return LaurentGerm(out, prec)
+        g = [mp.sqrt(a.coeffs[0]) if root is None else +root]
+        for k in range(1, len(a)):
+            half = (k - 1) // 2
+            s = 2 * mp.fdot(g[1 : half + 1], g[k - 1 : k - half - 1 : -1])
+            if k % 2 == 0:
+                s += g[k // 2] ** 2
+            g.append((a.coeffs[k] - s) / (2 * g[0]))
+    return LaurentGerm(tuple(g), prec)
 
 
-def _pow_int(a: LaurentGerm, m: int) -> LaurentGerm:
-    if m == 0:
-        return germ_constant(1, a.order, a.precision_bits)
-    base = a if m > 0 else germ_inv(a)
-    m = abs(m)
-    result = None
-    while m:
-        if m & 1:
-            result = base if result is None else germ_mul(result, base)
-        m >>= 1
-        if m:
-            base = germ_mul(base, base)
-    return result
+def _div_trunc(a, b, n: int) -> list:
+    q = []
+    for k in range(n):
+        s = mp.fdot(b[1 : k + 1], q[::-1])
+        q.append(((a[k] if k < len(a) else 0) - s) / b[0])
+    return q
 
 
-def series_pow_mul(a: LaurentGerm, b: LaurentGerm | None, exponent) -> LaurentGerm:
-    """(a * b)^exponent truncated to the common order.
+def _q(x):
+    """A rational (Fraction or int) to an mpf at the current precision."""
+    return mp.mpf(x.numerator) / x.denominator
 
-    The exponent may be any integer or half-integer; fractional powers go
-    through the Newton inverse-square-root kernel with the branch pinned by
-    the principal root of the constant term.
-    """
-    e = Fraction(exponent)
-    base = germ_mul(a, b) if b is not None else a
-    if e.denominator == 1:
-        return _pow_int(base, int(e))
-    if e.denominator != 2:
-        raise SeriesError(f"only integer and half-integer exponents are supported, got {e}")
-    # x^(m + 1/2) = x^m * x * x^(-1/2)
-    m_int = int(e - Fraction(1, 2))
-    half = germ_mul(base, germ_isqrt(base))
-    if m_int == 0:
-        return half
-    return germ_mul(_pow_int(base, m_int), half)
+
+def _center_radius(interval):
+    """Midpoint m and half-length h of [e_low, e_high] at the current precision."""
+    e_low, e_high = _q(interval[0]), _q(interval[1])
+    return (e_low + e_high) / 2, (e_high - e_low) / 2
 
 
 def inv_zhukovskii_germ(
@@ -209,29 +188,24 @@ def inv_zhukovskii_germ(
     germ is z - (z^2 - 1)^{1/2} with the branch fixed by
     (z^2 - 1)^{1/2} / z -> 1.
 
-    The coefficients satisfy the quadratic recursion obtained from
-    s + 1/s = 2 (z - m) / h: with s = sum c_k z^{-k} and c_0 = 0,
+    u = 1/phi solves the Chebyshev equation
+    (h^2 - (z - m)^2) u'' - (z - m) u' + u = 0, so its coefficients obey the
+    three-term recurrence c_0 = 0, c_1 = h/2 and
 
-        c_{k+1} = (h/2) ([s^2]_k + [k = 0]) + m c_k.
+        (j + 1) c_j = m (2j - 1) c_{j-1} + (h^2 - m^2) (j - 2) c_{j-2}.
     """
     if n < 1:
         raise SeriesError("truncation order must be at least 1")
-    if interval is None:
-        e_low, e_high = Fraction(-1), Fraction(1)
-    else:
-        e_low, e_high = Fraction(interval[0]), Fraction(interval[1])
+    e_low, e_high = (Fraction(-1), Fraction(1)) if interval is None else map(Fraction, interval)
     if e_low >= e_high:
         raise DegenerateInterval(f"need e_low < e_high, got [{e_low}, {e_high}]")
     prec = precision_bits or default_precision_bits(n)
     with mp.workprec(prec + 16):
-        m = (mp.mpf(e_low.numerator) / e_low.denominator + mp.mpf(e_high.numerator) / e_high.denominator) / 2
-        h = (mp.mpf(e_high.numerator) / e_high.denominator - mp.mpf(e_low.numerator) / e_low.denominator) / 2
-        c = [mp.mpf(0)] * (n + 1)
-        for k in range(n):
-            s2_k = mp.mpf(0)
-            for i in range(1, k):
-                s2_k += c[i] * c[k - i]
-            c[k + 1] = (h / 2) * (s2_k + (1 if k == 0 else 0)) + m * c[k]
+        m, h = _center_radius((e_low, e_high))
+        q = h * h - m * m
+        c = [mp.mpf(0), h / 2]
+        for j in range(2, n + 1):
+            c.append((m * (2 * j - 1) * c[j - 1] + q * (j - 2) * c[j - 2]) / (j + 1))
         with mp.workprec(prec):
             out = tuple(+x for x in c)
     return LaurentGerm(out, prec)
@@ -239,62 +213,98 @@ def inv_zhukovskii_germ(
 
 def _exact_to_mp(x) -> tuple:
     """(re, im) fraction pair to an mpmath number at current precision."""
-    re = mp.mpf(x[0].numerator) / x[0].denominator
-    im = mp.mpf(x[1].numerator) / x[1].denominator
+    re, im = _q(x[0]), _q(x[1])
     return mp.mpc(re, im) if im != 0 else re
 
 
-def _factor_germs(params, exponents, u: LaurentGerm, prec: int):
-    """Germs of (A_j - u)^{alpha_j}, merging conjugate pairs with equal
-    exponents into a single real-coefficient factor."""
-    factors = []
-    i = 0
+def _rational_parts(params, exponents):
+    """num(u) = prod_{alpha_j > 0} (A_j - u) and den(u) = prod_{alpha_j < 0}
+    (A_j - u) as ascending coefficient lists, and the constant term of
+    f = (num/den)^{1/2}: the product of the principal powers c^alpha over the
+    factors, c being a factor's value at u = 0.  A conjugate pair with equal
+    exponents is merged into the real quadratic u^2 - 2 Re(A) u + |A|^2, so a
+    spec whose pairs all merge keeps real coefficients throughout."""
+    polys = {1: [mp.mpf(1)], -1: [mp.mpf(1)]}
+    root = mp.mpf(1)
     items = list(zip(params, exponents))
+    i = 0
     while i < len(items):
-        (a, alpha) = items[i]
-        if a[1] != 0 and i + 1 < len(items) and items[i + 1][0] == (a[0], -a[1]):
-            a2, alpha2 = items[i + 1]
-            if alpha == alpha2:
-                # (A - u)(conj(A) - u) = u^2 - 2 Re(A) u + |A|^2, all real
-                re = mp.mpf(a[0].numerator) / a[0].denominator
-                mod2 = re * re + (mp.mpf(a[1].numerator) / a[1].denominator) ** 2
-                u2 = germ_mul(u, u)
-                pair = germ_add(germ_add(u2, germ_scale(u, -2 * re)), germ_constant(mod2, u.order, prec))
-                factors.append(series_pow_mul(pair, None, alpha))
-                i += 2
-                continue
-        av = _exact_to_mp(a)
-        base = germ_add(germ_scale(u, -1), germ_constant(av, u.order, prec))
-        factors.append(series_pow_mul(base, None, alpha))
-        i += 1
-    return factors
+        a, alpha = items[i]
+        if a[1] != 0 and items[i + 1 : i + 2] == [((a[0], -a[1]), alpha)]:
+            factor = [_q(a[0] ** 2 + a[1] ** 2), -2 * _q(a[0]), 1]
+            i += 2
+        else:
+            factor = [_exact_to_mp(a), -1]
+            i += 1
+        sign = 1 if alpha > 0 else -1
+        polys[sign] = _mul_trunc(polys[sign], factor, len(polys[sign]) + 2)
+        root *= mp.sqrt(factor[0]) ** sign
+    return polys[1], polys[-1], root
+
+
+def _poly_of_u(p: list, u: list, m, h, n: int) -> list:
+    """p(u) to n + 1 coefficients from the germ u of 1/phi, in O(deg p * n).
+
+    Powers of u follow from u + 1/u = 2 (z - m) / h:
+    u^i = (2/h) (z - m) u^{i-1} - u^{i-2}, where [z g]_k = g_{k+1}.  Each
+    step spends the top coefficient of u^{i-1}, so u must hold at least
+    n + deg p coefficients.
+    """
+    if len(p) == 1:
+        return list(p)
+    acc = [p[1] * x for x in u[: n + 1]]
+    acc[0] += p[0]
+    r = 2 / h
+    lo, hi = [1] + [0] * (len(u) - 1), u
+    for coeff in p[2:]:
+        nxt = [r * (hi[k + 1] - m * hi[k]) - lo[k] for k in range(len(hi) - 1)]
+        lo, hi = hi, nxt
+        for k in range(n + 1):
+            acc[k] += coeff * nxt[k]
+    return acc
+
+
+def _parts(spec: FunctionSpec) -> list:
+    """(interval, branch parameters, exponents) of each interval of a spec."""
+    parts = [(spec.interval_1, spec.a_exact, spec.alpha)]
+    if spec.class_tag == "two-interval":
+        parts.append((spec.interval_2, spec.b_exact, spec.beta))
+    return parts
 
 
 def germ_of_family(
     spec: FunctionSpec, n: int, precision_bits: int | None = None
 ) -> tuple[LaurentGerm, LaurentGerm, LaurentGerm]:
-    """Germs of f, f^2, f^3 at infinity, truncated at O(z^{-n-1})."""
+    """Germs of f, f^2, f^3 at infinity, truncated at O(z^{-n-1}).
+
+    f^2 = num/den is rational in u = 1/phi on each interval: f is one series
+    division and one square root, after O(n) work for u and the polynomials.
+    """
     if n < 1:
         raise SeriesError("truncation order must be at least 1")
     prec = precision_bits or default_precision_bits(n)
     with mp.workprec(prec + 16):
-        u1 = inv_zhukovskii_germ(n, spec.interval_1, prec)
-        factors = _factor_germs(spec.a_exact, spec.alpha, u1, prec)
-        if spec.class_tag == "two-interval":
-            u2 = inv_zhukovskii_germ(n, spec.interval_2, prec)
-            factors += _factor_germs(spec.b_exact, spec.beta, u2, prec)
-        f = factors[0]
-        for g in factors[1:]:
-            f = germ_mul(f, g)
-        f2 = germ_mul(f, f)
-        f3 = germ_mul(f2, f)
+        num, den, root = [mp.mpf(1)], [mp.mpf(1)], mp.mpf(1)
+        for interval, params, exponents in _parts(spec):
+            top, bottom, c = _rational_parts(params, exponents)
+            deg = max(len(top), len(bottom)) - 1
+            u = inv_zhukovskii_germ(n + deg, interval, prec + 16).coeffs
+            m, h = _center_radius(interval)
+            num = _mul_trunc(num, _poly_of_u(top, u, m, h, n), n + 1)
+            den = _mul_trunc(den, _poly_of_u(bottom, u, m, h, n), n + 1)
+            root *= c
+        square = LaurentGerm(tuple(_div_trunc(num, den, n + 1)), prec + 16)
+        g = germ_sqrt(square, root)
+        with mp.workprec(prec):
+            f = LaurentGerm(tuple(+c for c in g.coeffs), prec)
+    f2 = germ_mul(f, f)
+    f3 = germ_mul(f2, f)
     return f, f2, f3
 
 
-def _phi_value(z, e_low, e_high):
+def _phi_value(z, interval):
     """phi_Delta(z) with the branch of modulus greater than one."""
-    m = (e_low + e_high) / 2
-    h = (e_high - e_low) / 2
+    m, h = _center_radius(interval)
     zu = (z - m) / h
     w = mp.sqrt(zu * zu - 1)
     phi = zu + w
@@ -307,26 +317,15 @@ def evaluate_closed_form(spec: FunctionSpec, z):
     """f(z) from its closed-form product, branch-consistent with the germ:
     each factor is A_j^{alpha_j} (1 - 1/(A_j phi))^{alpha_j} with principal
     powers throughout."""
-    i1 = spec.interval_1
-    e1l, e1h = mp.mpf(i1[0].numerator) / i1[0].denominator, mp.mpf(i1[1].numerator) / i1[1].denominator
-    phi1 = _phi_value(z, e1l, e1h)
-    if abs(phi1) <= 1:
-        raise BranchInconsistency(f"|phi(z)| <= 1 at z = {z}")
     val = mp.mpc(1)
-    for a, alpha in zip(spec.a_exact, spec.alpha):
-        av = _exact_to_mp(a)
-        e = mp.mpf(alpha.numerator) / alpha.denominator
-        val *= av ** e * (1 - 1 / (av * phi1)) ** e
-    if spec.class_tag == "two-interval":
-        i2 = spec.interval_2
-        e2l, e2h = mp.mpf(i2[0].numerator) / i2[0].denominator, mp.mpf(i2[1].numerator) / i2[1].denominator
-        phi2 = _phi_value(z, e2l, e2h)
-        if abs(phi2) <= 1:
-            raise BranchInconsistency(f"|phi_2(z)| <= 1 at z = {z}")
-        for b, beta in zip(spec.b_exact, spec.beta):
-            bv = _exact_to_mp(b)
-            e = mp.mpf(beta.numerator) / beta.denominator
-            val *= bv ** e * (1 - 1 / (bv * phi2)) ** e
+    for interval, params, exponents in _parts(spec):
+        phi = _phi_value(z, interval)
+        if abs(phi) <= 1:
+            raise BranchInconsistency(f"|phi(z)| <= 1 on {interval} at z = {z}")
+        for a, alpha in zip(params, exponents):
+            av = _exact_to_mp(a)
+            e = _q(alpha)
+            val *= av ** e * (1 - 1 / (av * phi)) ** e
     return val
 
 

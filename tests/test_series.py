@@ -4,6 +4,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RAW_Z2
+from hplab.funcspec import validate_spec
 from hplab.series import (
     DegenerateInterval,
     LaurentGerm,
@@ -13,11 +15,11 @@ from hplab.series import (
     evaluate_closed_form,
     germ_add,
     germ_constant,
-    germ_inv,
-    germ_isqrt,
+    germ_div,
     germ_mul,
     germ_of_family,
     germ_scale,
+    germ_sqrt,
     inv_zhukovskii_germ,
     oracle_coeffs,
 )
@@ -54,6 +56,21 @@ def test_inv_zhukovskii_shifted_interval_against_closed_form():
         assert abs(series_val - direct) < mp.mpf(10) ** -45
 
 
+def test_inv_zhukovskii_high_order_asymmetric_interval():
+    # n = 300 terms of the three-term recurrence on an interval with m != 0
+    lo, hi = Fraction(-1, 3), Fraction(7, 2)
+    g = inv_zhukovskii_germ(300, interval=(lo, hi), precision_bits=2048)
+    with mp.workprec(2048):
+        z = mp.mpf(50)
+        series_val = mp.fsum(c * z ** -k for k, c in enumerate(g.coeffs))
+        m = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
+        h = (mp.mpf(hi.numerator) / hi.denominator - mp.mpf(lo.numerator) / lo.denominator) / 2
+        zu = (z - m) / h
+        direct = 1 / (zu + mp.sqrt(zu * zu - 1))
+        # truncation error decays like (3.5/50)^(n+1), about 1e-347
+        assert abs(series_val - direct) < mp.mpf(10) ** -340
+
+
 def test_inv_zhukovskii_degenerate_interval():
     with pytest.raises(DegenerateInterval):
         inv_zhukovskii_germ(4, interval=(1, 1))
@@ -75,9 +92,19 @@ def test_germ_of_family_leading_coeffs(spec_z):
             assert abs(a - b) == 0
 
 
-def test_germ_coefficients_are_real(spec_z2):
+# p = 2, two conjugate pairs with the same exponent: multiplied as four
+# complex linear factors, rounding would leave an imaginary residue
+RAW_SAME_SIGN_PAIRS = {
+    "class": "Z",
+    "A": [["1.5", "1.1"], ["1.5", "-1.1"], ["-1.6", "0.7"], ["-1.6", "-0.7"]],
+    "alpha": ["1/2", "1/2", "1/2", "1/2"],
+}
+
+
+@pytest.mark.parametrize("raw", [RAW_Z2, RAW_SAME_SIGN_PAIRS], ids=["z2", "same-sign-pairs"])
+def test_germ_coefficients_are_real(raw):
     # conjugate-symmetric parameter sets force real Laurent coefficients
-    f, _, _ = germ_of_family(spec_z2, 12, precision_bits=512)
+    f, _, _ = germ_of_family(validate_spec(raw), 12, precision_bits=512)
     for c in f.coeffs:
         assert mp.im(c) == 0
 
@@ -98,6 +125,36 @@ def test_oracle_agreement_two_interval(spec_z2):
     prec = 512
     f, _, _ = germ_of_family(spec_z2, n, precision_bits=prec)
     g = oracle_coeffs(spec_z2, n, radius=12, nodes=200, precision_bits=prec)
+    with mp.workprec(prec):
+        scale = f.max_abs()
+        for a, b in zip(f.coeffs, g.coeffs):
+            assert abs(a - b) / scale < mp.mpf(10) ** -40
+
+
+# specs whose f_0 is not a product of real positive roots
+BRANCH_SPECS = {
+    # f_0 = sqrt(1.5 + i) / sqrt(1.5 - i)
+    "unequal-pair": {"class": "Z", "A": [["1.5", "1"], ["1.5", "-1"]], "alpha": ["1/2", "-1/2"]},
+    # f_0 = sqrt(-2) sqrt(3) = i sqrt(6)
+    "negative-real": {"class": "Z", "A": [["-2", "0"], ["3", "0"]], "alpha": ["1/2", "1/2"]},
+    "two-interval-unequal-pairs": {
+        "class": "Z2",
+        "A": [["1.2", "0.8"], ["1.2", "-0.8"]],
+        "alpha": ["1/2", "-1/2"],
+        "B": [["1.1", "1.1"], ["1.1", "-1.1"]],
+        "beta": ["-1/2", "1/2"],
+        "intervals": [["-3", "-2"], ["2", "3"]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_SPECS))
+def test_oracle_agreement_complex_branch(name):
+    spec = validate_spec(BRANCH_SPECS[name])
+    n = 40
+    prec = 512
+    f, _, _ = germ_of_family(spec, n, precision_bits=prec)
+    g = oracle_coeffs(spec, n, radius=12, nodes=200, precision_bits=prec)
     with mp.workprec(prec):
         scale = f.max_abs()
         for a, b in zip(f.coeffs, g.coeffs):
@@ -173,14 +230,15 @@ def test_germ_linear_ops(a, b, s):
 @given(
     head=st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
     tail=st.lists(coeff_floats, min_size=3, max_size=8),
+    a=st.lists(coeff_floats, min_size=4, max_size=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_germ_inverse_round_trip(head, tail):
-    g = _mk([head] + tail)
-    prod = germ_mul(g, germ_inv(g))
-    assert abs(prod.coeffs[0] - 1) < mp.mpf(2) ** -180
-    for c in prod.coeffs[1:]:
-        assert abs(c) < mp.mpf(2) ** -180
+def test_germ_inverse_round_trip(head, tail, a):
+    b = _mk([head] + tail)
+    ga = _mk(a)
+    back = germ_mul(germ_div(ga, b), b)
+    for x, y in zip(back.coeffs, ga.coeffs):
+        assert abs(x - y) < mp.mpf(2) ** -180
 
 
 @given(
@@ -188,21 +246,21 @@ def test_germ_inverse_round_trip(head, tail):
     tail=st.lists(coeff_floats, min_size=3, max_size=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_germ_isqrt_squares_to_inverse(head, tail):
+def test_germ_sqrt_squares_back(head, tail):
     g = _mk([head] + tail)
-    r = germ_isqrt(g)
-    prod = germ_mul(g, germ_mul(r, r))
-    assert abs(prod.coeffs[0] - 1) < mp.mpf(2) ** -170
-    for c in prod.coeffs[1:]:
-        assert abs(c) < mp.mpf(2) ** -170
+    r = germ_sqrt(g)
+    assert r.coeffs[0] > 0
+    sq = germ_mul(r, r)
+    for x, y in zip(sq.coeffs, g.coeffs):
+        assert abs(x - y) < mp.mpf(2) ** -170
 
 
 def test_inverse_requires_nonzero_constant_term():
     g = _mk([0.0, 1.0, 2.0])
     with pytest.raises(ZeroConstantTerm):
-        germ_inv(g)
+        germ_div(_mk([1.0, 1.0, 1.0]), g)
     with pytest.raises(ZeroConstantTerm):
-        germ_isqrt(g)
+        germ_sqrt(g)
 
 
 def test_germ_constant():
