@@ -19,6 +19,8 @@ O(k^3 n^2) operations where dense elimination takes O(k^3 n^3).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,15 +265,17 @@ def residual_order(sol: HPSolution, germs, precision_bits: int | None = None) ->
 
 
 def _horner(coeffs, x):
-    v = mp.mpc(0)
+    """p(x) by Horner's rule, for an mpmath number or a numpy array x."""
+    v = x * 0
     for c in reversed(coeffs):
         v = v * x + c
     return v
 
 
 def _horner_with_derivative(coeffs, x):
-    """p(x) and p'(x) in one Horner pass."""
-    p, dp = mp.mpc(0), mp.mpc(0)
+    """p(x) and p'(x) in one Horner pass, for an mpmath number or a numpy
+    array x."""
+    p = dp = x * 0
     for c in reversed(coeffs):
         dp = dp * x + p
         p = p * x + c
@@ -286,9 +290,10 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
     decimal strings or mpmath numbers).  Trailing coefficients below
     2^{-prec/2} of the largest are trimmed first; roots and disks are those
     of the trimmed polynomial, which keeps ``deg`` roots.  The iteration
-    starts from companion-matrix eigenvalues in double precision and runs at
-    ``work = 2 * prec`` bits until its steps reach the rounding floor (see
-    ``_aberth``), so the roots carry full working precision whatever ``tol``.
+    starts on the circles of the Newton polygon of log|c_i|, climbs a ladder
+    of precisions from double up to ``work = 2 * prec`` bits, and runs at
+    ``work`` until its steps reach the rounding floor (see ``_aberth``), so
+    the roots carry full working precision whatever ``tol``.
 
     Certificate: ``radii[i]`` bounds Neumaier's inclusion radius
     deg |p(z_i)| / |a_n prod_{j != i} (z_i - z_j)| from above, evaluated in
@@ -341,55 +346,41 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
 
 
 def _aberth(cs, deg, prec):
-    """Aberth-Ehrlich sweeps at ``prec`` bits.
+    """Aberth-Ehrlich iteration on a ladder of precisions, after MPSolve
+    (Bini & Robol, J. Comput. Appl. Math. 2014).
 
-    Stop rule, after the stagnation tests of MPSolve (Bini & Robol, J. Comput.
-    Appl. Math. 2014), on the largest relative step of a sweep: once it is
-    below 2^{-prec/2}, one more sweep reaches the rounding floor, since the
-    iteration converges cubically at simple roots.  Multiple roots (where
-    convergence is only linear, and a root of multiplicity m is fixed only
-    to about 2^{-prec/m}) and ill-conditioned ones leave the steps at a
-    floor above that level, so the loop also stops when the step, once
-    below 2^{-prec/4}, has not halved for 3 sweeps.  200 sweeps are the last
-    guard.
+    The starts lie on the circles of the Newton polygon of log|c_i|
+    (:func:`_newton_polygon_starts`).  The rungs run in complex128
+    (:func:`_double_rung`), then at 128, 256, ... bits below ``prec``
+    (:func:`_mp_rung`); a rung stops moving a root once |p(z)| is at its
+    rounding level, and the next rung starts from the roots so fixed.  The
+    last rung runs at ``prec`` bits.
+
+    Its stop rule, after the stagnation tests of MPSolve, is on the largest
+    relative step of a sweep: once it is below 2^{-prec/2}, one more sweep
+    reaches the rounding floor, since the iteration converges cubically at
+    simple roots.  Multiple roots (where convergence is only linear, and a
+    root of multiplicity m is fixed only to about 2^{-prec/m}) and
+    ill-conditioned ones leave the steps at a floor above that level, so the
+    loop also stops when the step, once below 2^{-prec/4}, has not halved for
+    3 sweeps.  200 sweeps are the last guard.
     """
-    try:
-        comp = np.zeros((deg, deg), dtype=complex)
-        lead = complex(cs[-1])
-        comp[1:, :-1] = np.eye(deg - 1)
-        comp[:, -1] = [-complex(c) / lead for c in cs[:-1]]
-        init = np.linalg.eigvals(comp)
-        roots = [mp.mpc(z) for z in init]
-    except Exception:
-        r0 = 1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-        roots = [r0 * mp.expjpi(mp.mpf(2 * i + 1) / deg) for i in range(deg)]
-    # tiny deterministic shake so clustered eigenvalue output cannot coincide
-    roots = [r + mp.mpf(2) ** (-40) * (1 + 1j) * (i + 1) / deg for i, r in enumerate(roots)]
-    eps = mp.mpf(2) ** (-prec + 8)
+    logs = _log2_moduli(cs)
+    starts = _newton_polygon_starts(logs)
+    roots = _double_rung(cs, logs, starts)
+    if roots is None:
+        roots = [mp.mpf(2) ** lr * mp.expj(t) for lr, t in starts]
+    else:
+        roots = [mp.mpc(z) for z in roots]
+    rung = 128
+    while rung < prec:
+        roots = _mp_rung(cs, roots, rung)
+        rung *= 2
     converged = mp.mpf(2) ** (-(prec // 2))
     watched = mp.mpf(2) ** (-(prec // 4))
     best, stalled, last = None, 0, False
     for _ in range(200):
-        moved = mp.mpf(0)
-        new = []
-        for i, r in enumerate(roots):
-            p, dp = _horner_with_derivative(cs, r)
-            if dp == 0:
-                new.append(r + eps)
-                moved = max(moved, eps)
-                continue
-            newton = p / dp
-            s = mp.mpc(0)
-            for j, rj in enumerate(roots):
-                if j != i:
-                    diff = r - rj
-                    if diff != 0:
-                        s += 1 / diff
-            denom = 1 - newton * s
-            delta = newton / denom if denom != 0 else newton
-            new.append(r - delta)
-            moved = max(moved, abs(delta) / max(1, abs(r)))
-        roots = new
+        roots, moved, _ = _sweep(cs, roots, range(deg))
         if last:
             break
         if moved < converged:
@@ -404,6 +395,162 @@ def _aberth(cs, deg, prec):
             if stalled == 3:
                 break
     return roots
+
+
+def _log2_moduli(cs):
+    """log2 |c_i| as floats; None for a zero coefficient."""
+    with mp.workprec(64):
+        return [float(mp.log(abs(c), 2)) if c != 0 else None for c in cs]
+
+
+def _newton_polygon_starts(logs):
+    """Start points of Aberth's iteration on the circles of the Newton
+    polygon (Bini, Numer. Algorithms 13, 1996), as (log2 radius, angle).
+
+    The upper convex hull of the points (i, log2|c_i|) has one edge a -> b
+    per group of m = b - a roots of like modulus; the edge puts m points on
+    the circle of radius (|c_a| / |c_b|)^(1/m), at angles 2 pi j / m turned by
+    2 pi a / deg + 0.7.  A zero coefficient counts as 53 bits below the least
+    nonzero one, so roots at 0 start on a small circle.  Radii are returned
+    as log2 since they can lie outside the range of double precision.
+    """
+    deg = len(logs) - 1
+    floor = min(v for v in logs if v is not None) - 53
+    hull = []
+    for x, y in enumerate(logs):
+        y = floor if y is None else y
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) < 0:
+                break
+            hull.pop()  # hull[-1] lies on or below the chord to (x, y)
+        hull.append((x, y))
+    starts = []
+    for (a, ya), (b, yb) in zip(hull, hull[1:]):
+        m = b - a
+        turn = 2 * math.pi * a / deg + 0.7
+        starts += [((ya - yb) / m, 2 * math.pi * j / m + turn) for j in range(m)]
+    return starts
+
+
+def _double_rung(cs, logs, starts):
+    """Aberth sweeps in complex128 from ``starts`` until every root meets the
+    rounding test |p(z)| <= 4 deg 2^-53 sum_k |c_k| |z|^k, or 100 sweeps
+    have run.
+
+    The coefficients are scaled by 2^-e, e the exponent of the largest.  p is
+    evaluated by Horner for |z| <= 1 and through its reversal at 1/z for
+    |z| > 1, so no power of z can overflow.  Returns the roots as complex
+    numbers, or None when a start radius or the scaled leading coefficient
+    is outside the range of double precision.
+    """
+    if max(abs(lr) for lr, _ in starts) > 1000:
+        return None
+    scale = mp.mpf(2) ** -math.ceil(max(v for v in logs if v is not None))
+    c = np.array([complex(x * scale) for x in cs])
+    if c[-1] == 0:
+        return None
+    deg = len(c) - 1
+    tol = 4 * deg * 2.0 ** -53
+    z = np.array([2.0 ** lr * cmath.exp(1j * t) for lr, t in starts])
+    live = np.ones(deg, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            idx = np.flatnonzero(live)
+            zl = z[idx]
+            outer = np.abs(zl) > 1
+            # one column of coefficients per root: p's, or its reversal's
+            coeffs = np.where(outer, c[::-1, None], c[:, None])
+            x = np.where(outer, 1 / zl, zl)
+            p, dp = _horner_with_derivative(coeffs, x)
+            move = np.abs(p) > tol * _horner(np.abs(coeffs), np.abs(x))
+            # p(z) = z^deg q(1/z): p/p' = z / (deg - w q'(w) / q(w))
+            newton = np.where(outer, zl / (deg - x * dp / p), p / dp)[move]
+            live[idx] = move
+            move = idx[move]
+            if not move.size:
+                break
+            diff = z[move, None] - z[None, :]
+            diff[np.arange(move.size), move] = np.inf
+            diff[diff == 0] = np.inf
+            step = newton / (1 - newton * (1 / diff).sum(axis=1))
+            new = z[move] - step
+            ok = np.isfinite(new)
+            z[move[ok]] = new[ok]
+            live[move[~ok]] = False
+    return [complex(v) for v in z]
+
+
+def _mp_rung(cs, roots, prec):
+    """Aberth sweeps at ``prec`` bits until every root meets the rounding
+    test |p(z)| <= 4 deg 2^-prec sum_k |c_k| |z|^k (or stops moving, see
+    :func:`_sweep`), or 100 sweeps have run.  A root that meets it is not
+    moved again in this rung."""
+    deg = len(roots)
+    with mp.workprec(prec):
+        cs = [+c for c in cs]
+        moduli = [abs(c) for c in cs]
+        tol = 4 * deg * mp.mpf(2) ** -prec
+        live = range(deg)
+        for _ in range(100):
+            roots, _, live = _sweep(cs, roots, live, moduli, tol)
+            if not live:
+                break
+    return roots
+
+
+def _sweep(cs, roots, active, moduli=None, tol=None):
+    """One Jacobi sweep of the Aberth correction over the roots ``active``,
+    at the working precision.
+
+    With ``moduli`` (the |c_k|), a root that meets the rounding test
+    |p(z)| <= tol sum_k |c_k| |z|^k keeps its place and leaves the active
+    list.  So does a root whose step falls below 2^-prec of max(1, |z|): a
+    root converging to an exact zero at 0 never meets the rounding test,
+    which is relative to the terms of p.  1/(z_i - z_j) is computed once
+    per pair: (j, i) takes its negation, which is exact, so the roots are
+    those of computing both.
+    Returns the new roots, the largest step relative to max(1, |z|), and the
+    roots still active.
+    """
+    n = len(roots)
+    inv = [[None] * n for _ in range(n)]
+    eps = mp.mpf(2) ** (-mp.mp.prec + 8)
+    unit = mp.mpf(2) ** -mp.mp.prec
+    new = list(roots)
+    moved = mp.mpf(0)
+    left = []
+    for i in active:
+        r = roots[i]
+        p, dp = _horner_with_derivative(cs, r)
+        if moduli is not None and abs(p) <= tol * _horner(moduli, abs(r)):
+            continue
+        if dp == 0:
+            new[i] = r + eps
+            moved = max(moved, eps)
+            left.append(i)
+            continue
+        newton = p / dp
+        s = mp.mpc(0)
+        row = inv[i]
+        for j in range(n):
+            if j == i:
+                continue
+            v = inv[j][i]
+            if v is None:
+                diff = r - roots[j]
+                v = row[j] = 1 / diff if diff != 0 else 0
+            else:
+                v = -v
+            s += v
+        denom = 1 - newton * s
+        delta = newton / denom if denom != 0 else newton
+        new[i] = r - delta
+        step = abs(delta) / max(1, abs(r))
+        moved = max(moved, step)
+        if step >= unit:
+            left.append(i)
+    return new, moved, left
 
 
 def _residual_bound(cs, roots):

@@ -364,16 +364,3 @@ def _point_to_polyline(p: np.ndarray, poly: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     proj = a + t * d
     return np.abs(z - proj).min(axis=1)
-
-
-def polyline_hausdorff(path_a, path_b) -> float:
-    """Hausdorff distance between two polylines (as point sequences),
-    measured vertex-to-edge in both directions."""
-    a = np.asarray(list(path_a), dtype=complex).reshape(-1)
-    b = np.asarray(list(path_b), dtype=complex).reshape(-1)
-    return float(max(_point_to_polyline(a, b).max(), _point_to_polyline(b, a).max()))
-
-
-def segment_samples(a: complex, b: complex, n: int = 2001) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n)
-    return complex(a) + (complex(b) - complex(a)) * t

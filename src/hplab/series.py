@@ -99,19 +99,6 @@ def germ_mul(a: LaurentGerm, b: LaurentGerm) -> LaurentGerm:
     return LaurentGerm(tuple(out), prec)
 
 
-def germ_add(a: LaurentGerm, b: LaurentGerm) -> LaurentGerm:
-    n, prec = _join(a, b)
-    with mp.workprec(prec):
-        out = tuple(a.coeffs[k] + b.coeffs[k] for k in range(n))
-    return LaurentGerm(out, prec)
-
-
-def germ_scale(a: LaurentGerm, s) -> LaurentGerm:
-    with mp.workprec(a.precision_bits):
-        out = tuple(s * c for c in a.coeffs)
-    return LaurentGerm(out, a.precision_bits)
-
-
 def germ_constant(c, n: int, prec: int) -> LaurentGerm:
     with mp.workprec(prec):
         out = (mp.mpmathify(c),) + (mp.mpf(0),) * n

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 
@@ -18,6 +19,21 @@ RAW_Z2 = {
     "beta": ["-1/2", "-1/2"],
     "intervals": [["-3", "-2"], ["2", "3"]],
 }
+
+
+def polyline_hausdorff(path_a, path_b) -> float:
+    """Hausdorff distance between two polylines (as point sequences),
+    measured vertex-to-edge in both directions."""
+    from hplab.scurve import _point_to_polyline
+
+    a = np.asarray(list(path_a), dtype=complex).reshape(-1)
+    b = np.asarray(list(path_b), dtype=complex).reshape(-1)
+    return float(max(_point_to_polyline(a, b).max(), _point_to_polyline(b, a).max()))
+
+
+def segment_samples(a: complex, b: complex, n: int = 2001) -> np.ndarray:
+    t = np.linspace(0.0, 1.0, n)
+    return complex(a) + (complex(b) - complex(a)) * t
 
 
 @pytest.fixture(scope="session")

@@ -30,10 +30,9 @@ from hplab.hermite_pade import (
     residual_order,
 )
 from hplab.nuttall import nuttall_report
-from hplab.scurve import polyline_hausdorff, segment_samples
 from hplab.series import germ_of_family, oracle_coeffs
 
-from conftest import RAW_Z2
+from conftest import RAW_Z2, polyline_hausdorff, segment_samples
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +50,16 @@ def germs_n20(spec_z):
 def germs_z2_n20(spec_z2):
     need = 20 + contract_order(4, 20) + 25
     return germ_of_family(spec_z2, need, precision_bits=2048)
+
+
+@pytest.fixture(scope="module")
+def hp_n40(spec_z):
+    """The [1, f, f^2] solve at n = 40 and its precision, with the germs."""
+    n = 40
+    prec = max(2048, 64 * n + 512)
+    need = n + contract_order(3, n) + 25
+    f, f2, _ = germ_of_family(spec_z, need, precision_bits=prec)
+    return prec, [f, f2], hp_type1([f, f2], n, precision_bits=prec)
 
 
 @pytest.fixture(scope="module")
@@ -184,16 +193,28 @@ def test_criterion_8_equilibrium_residual(arc_z, equilibrium_400):
 # criterion 9: weak-* proxy at n = 40
 
 
-def test_criterion_9_zero_measure_distance(spec_z, equilibrium_400):
-    n = 40
-    prec = max(2048, 64 * n + 512)
-    need = n + contract_order(3, n) + 25
-    f, f2, _ = germ_of_family(spec_z, need, precision_bits=prec)
-    sol = hp_type1([f, f2], n, precision_bits=prec)
-    assert residual_order(sol, [f, f2]) >= contract_order(3, n)
+def test_criterion_9_zero_measure_distance(hp_n40, equilibrium_400):
+    t0 = time.monotonic()
+    prec, germs, sol = hp_n40
+    assert residual_order(sol, germs) >= contract_order(3, 40)
     _, mu = polyroots_and_measure(sol.polys[2], tol=1e-10, precision_bits=prec)
     d = measure_distance(mu, equilibrium_400.as_measure())
     assert d <= 0.05
+    assert time.monotonic() - t0 <= 20.0
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_hp_zeros_n40_at_solve_precision(j, hp_n40):
+    # Q_0 has a genuine root near 4.8e82 beside 39 roots of modulus below 3:
+    # at the solve's 3072 bits no coefficient is trimmed, and every root gets its disk
+    t0 = time.monotonic()
+    prec, _, sol = hp_n40
+    zeros, _ = polyroots_and_measure(sol.polys[j], tol=1e-10, precision_bits=prec)
+    assert time.monotonic() - t0 <= 30.0
+    assert len(zeros.roots) == 40
+    assert all(r / max(1, abs(z)) <= 1e-10 for r, z in zip(zeros.radii, zeros.roots))
+    if j == 0:
+        assert max(abs(z) for z in zeros.roots) > 1e80
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from hplab.scurve import (
     QuadraticDifferential,
     chebotarev_solve,
     route_around,
-    segment_samples,
     trace_compact,
 )
 from hplab.surface import green_signed, lift
+
+from conftest import segment_samples
 
 
 # ---------------------------------------------------------------------------

@@ -238,3 +238,69 @@ def test_polyroots_bit_identical_reruns(poly):
     # mpmath numbers are normalized, so equal values at one precision are
     # equal bits
     assert a == b
+
+
+def test_newton_polygon_starts_find_far_root():
+    # (z - 1e80)(z^3 - 1): the hull edges give one circle of radius 1e80
+    # and one of radius 1
+    a = 10**80
+    poly = [a, -1, 0, -a, 1]
+    cs = [mp.mpf(c) for c in poly]
+    moduli = [2.0 ** lr for lr, _ in hp_mod._newton_polygon_starts(hp_mod._log2_moduli(cs))]
+    assert len(moduli) == 4
+    assert sum(a / 2 <= m <= 2 * a for m in moduli) == 1
+    assert sum(0.5 <= m <= 2 for m in moduli) == 3
+    # the iteration and certificate of polyroots_and_measure at 256 bits
+    # (work = 512), without its trim rule, which would drop the leading 1
+    # against 1e80
+    work = 512
+    with mp.workprec(work):
+        roots = hp_mod._aberth(cs, 4, work)
+        bound = hp_mod._residual_bound(cs, roots)
+        radii, sizes = hp_mod._inclusion_disks(poly, roots, work)
+    assert bound <= 1e-14
+    assert all(r / max(1, abs(z)) <= 1e-14 for r, z in zip(radii, roots))
+    assert sizes == [1, 1, 1, 1]
+    for e in (a, 1, mp.expjpi(mp.mpf(2) / 3), mp.expjpi(-mp.mpf(2) / 3)):
+        assert min(abs(z - e) / abs(e) for z in roots) <= 1e-14
+
+
+def test_polyroots_scale_invariant():
+    # scaling by 2^3000 is exact and puts the coefficients far outside the
+    # range of double precision
+    poly = [-18, 9, 7, 1, 1]
+    a, _ = polyroots_and_measure(poly, tol=1e-14, precision_bits=256)
+    b, _ = polyroots_and_measure([c * 2**3000 for c in poly], tol=1e-14, precision_bits=256)
+    assert a.multiplicities == b.multiplicities
+    for x, y in zip(a.roots, b.roots):
+        assert abs(x - y) <= mp.mpf(2) ** -400 * abs(x)
+
+
+def test_polyroots_root_beyond_double_range():
+    # a start radius of 2^1200 has no double: the ladder begins at 128 bits
+    a = 2**1200
+    zeros, _ = polyroots_and_measure([a, -(a + 1), 1], tol=1e-14, precision_bits=4096)
+    assert abs(zeros.roots[0] - 1) <= 1e-14
+    assert abs(zeros.roots[1] - a) <= 1e-14 * mp.mpf(a)
+
+
+def test_aberth_ladder_sweeps_on_hp_zeros(spec_z, monkeypatch):
+    # every rung evaluates p through _horner_with_derivative: once per root
+    # and sweep at multiple precision, once per sweep in double precision
+    k, n, bits = 3, 10, 2048
+    germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
+    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
+    calls = []
+    one_pass = hp_mod._horner_with_derivative
+
+    def counted(coeffs, x):
+        calls.append(1)
+        return one_pass(coeffs, x)
+
+    monkeypatch.setattr(hp_mod, "_horner_with_derivative", counted)
+    for q in sol.polys:
+        calls.clear()
+        zeros, _ = polyroots_and_measure(q, tol=1e-10)
+        deg = len(zeros.roots)
+        assert deg == n
+        assert len(calls) <= 12 * deg

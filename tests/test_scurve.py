@@ -14,11 +14,11 @@ from hplab.scurve import (
     _check_disjoint,
     admissibility_check,
     chebotarev_solve,
-    polyline_hausdorff,
     route_around,
-    segment_samples,
     trace_compact,
 )
+
+from conftest import polyline_hausdorff, segment_samples
 
 
 def test_p1_real_pair_is_segment(qd_p1, compact_p1):

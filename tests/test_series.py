@@ -13,12 +13,10 @@ from hplab.series import (
     ZeroConstantTerm,
     default_precision_bits,
     evaluate_closed_form,
-    germ_add,
     germ_constant,
     germ_div,
     germ_mul,
     germ_of_family,
-    germ_scale,
     germ_sqrt,
     inv_zhukovskii_germ,
     oracle_coeffs,
@@ -211,20 +209,6 @@ def test_germ_mul_commutes(a, b):
     for x, y in zip(ab.coeffs, ba.coeffs):
         # summation order differs, so equality only holds to working precision
         assert abs(x - y) <= mp.mpf(2) ** -230 * max(1, abs(x))
-
-
-@given(
-    a=st.lists(coeff_floats, min_size=4, max_size=8),
-    b=st.lists(coeff_floats, min_size=4, max_size=8),
-    s=coeff_floats,
-)
-@settings(max_examples=40, deadline=None)
-def test_germ_linear_ops(a, b, s):
-    ga, gb = _mk(a), _mk(b)
-    left = germ_scale(germ_add(ga, gb), mp.mpf(s))
-    right = germ_add(germ_scale(ga, mp.mpf(s)), germ_scale(gb, mp.mpf(s)))
-    for x, y in zip(left.coeffs, right.coeffs):
-        assert abs(x - y) < mp.mpf(2) ** -180
 
 
 @given(
