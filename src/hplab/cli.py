@@ -13,6 +13,9 @@ equilibrium  equilibrium measure + residual + distance to Hermite-Pade zeros
              (compacts of one arc only)
 figure-data  zero clouds (Pade + Hermite-Pade) and the traced compact
 
+stahl, green, nuttall and equilibrium trace the compact on the chart of one
+interval, and refuse a two-interval spec as an input error.
+
 Options, besides ``--spec`` and ``--out`` which every subcommand takes
 ----------------------------------------------------------------------
 germ, equilibrium, figure-data   --n, --precision-bits, --tol
@@ -152,7 +155,13 @@ def _cmd_hp(args, spec):
 
 def _solve_compact(spec, tol=None):
     """Extremal compact through the branch-point images; ``tol=None``
-    keeps the period tolerance of :func:`scurve.chebotarev_solve`."""
+    keeps the period tolerance of :func:`scurve.chebotarev_solve`.
+
+    The compact is traced on the zeta sphere of w^2 = z^2 - 1, the chart of
+    one interval; the two-interval class (a surface of genus 1) is refused.
+    """
+    if spec.class_tag == "two-interval":
+        raise SpecError("the extremal compact is computed for the single-interval class only")
     pts = list(derived_points(spec).zeta_images)
     qd = sc.chebotarev_solve(pts) if tol is None else sc.chebotarev_solve(pts, tol=tol)
     return qd, sc.trace_compact(qd)

@@ -12,8 +12,12 @@ one-dimensional.
 In x = 1/z, with P_j(x) = x^n Q_j(1/x) and F_j the germ of f^j, the
 conditions read sum_j P_j F_j = O(x^sigma), sigma = k(n+1) - 1: an order
 (sigma-basis) problem.  :func:`hp_type1` solves it by the iteration of
-Beckermann & Labahn, one pivot and one elimination per power of x, in
-O(k^3 n^2) operations where dense elimination takes O(k^3 n^3).
+Beckermann & Labahn, one pivot and one elimination per power of x.  At the
+working precision it updates only the k residual series, O(k^3 n^2)
+products where dense elimination takes O(k^3 n^3).  The k x k polynomial
+rows are carried as a double-precision shadow, which gives the row scales
+that the pivot test reads, and the one row returned is rebuilt at the end
+by replaying the recorded eliminations, O(k^2 n^2) products.
 :func:`residual_order` certifies the result independently.
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import mpmath as mp
@@ -118,11 +123,12 @@ def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
 
     ``germs`` holds the k - 1 germs of f, ..., f^{k-1}; the germ of 1 is
     implied.  The solution is the row of least degree (at most n) of the
-    order basis that :func:`_order_basis` builds to order sigma = k(n+1) - 1,
-    with its coefficients reversed from P_j(x) into Q_j(z).  Normalization:
-    the trailing nonzero coefficient of the first nonzero polynomial equals
-    1, which pins the projective scale so repeated runs are bit-for-bit
-    identical.
+    order basis that :func:`_order_basis` builds to order sigma = k(n+1) - 1:
+    the only row rebuilt at the working precision, by replaying the
+    eliminations that made it.  Its coefficients are reversed from P_j(x)
+    into Q_j(z).  Normalization: the trailing nonzero coefficient of the
+    first nonzero polynomial equals 1, which pins the projective scale so
+    repeated runs are bit-for-bit identical.
     """
     germs = list(germs)
     if n < 0:
@@ -141,10 +147,10 @@ def hp_type1(germs, n: int, precision_bits: int | None = None) -> HPSolution:
             )
 
     with mp.workprec(prec):
-        deg, rows = _order_basis([g.coeffs for g in germs], need, prec)
-        best = min(range(k), key=deg.__getitem__)
-        # rows have length deg + 1 <= n + 1; Q_j holds P_j's coefficients reversed
-        polys = [(p + [mp.mpf(0)] * (n - deg[best]))[::-1] for p in rows[best]]
+        deg, row = _order_basis([g.coeffs for g in germs], need, prec)
+        # the row has length min(deg) + 1 <= n + 1; Q_j holds P_j's
+        # coefficients reversed
+        polys = [(p + [mp.mpf(0)] * (n - min(deg)))[::-1] for p in row]
         polys = _normalize(polys, prec)
     return HPSolution(
         family_size=k,
@@ -169,22 +175,30 @@ def _order_basis(series, sigma, prec):
     degree, and multiplies the pivot row by x.  The row degrees
     ``deg`` are those of a reduced basis: the polynomial vectors of degree
     <= n with the order are spanned by the rows of degree <= n, a space of
-    dimension sum_r max(0, n + 1 - deg[r]).  Returns ``deg`` and the rows.
+    dimension sum_r max(0, n + 1 - deg[r]).
+
+    Only the residual series, which give e_r, the pivots and ``deg``, are
+    updated at the working precision.  The rows' scales come from a
+    double-precision shadow of the rows (:class:`_RowShadow`), and each step
+    is recorded as (pivot, [(r, e_r / e_pivot), ...]).  Returns ``deg`` and
+    the first row of least degree, rebuilt from those records by
+    :func:`_replay_row`.
     """
     k = len(series)
     g_scale = max(abs(c) for f in series for c in f[:sigma])
     tiny = g_scale * mp.mpf(2) ** (-(prec // 2))
-    rows = [[[mp.mpf(int(i == j))] for j in range(k)] for i in range(k)]
     res = [list(f[:sigma]) for f in series]  # residual series of each row
+    shadow = _RowShadow(k, sigma, any(isinstance(c, mp.mpc) for f in res for c in f))
     deg = [0] * k
+    steps = []
     for t in range(sigma):
         e = [r[t] for r in res]
-        live = [r for r in range(k)
-                if abs(e[r]) > tiny * max(abs(c) for p in rows[r] for c in p)]
+        live = [r for r in range(k) if abs(e[r]) > tiny * shadow.scale(r)]
         if not live:
             continue
         piv = min(live, key=lambda r: (deg[r], -abs(e[r])))
-        rp, sp = rows[piv], res[piv]
+        sp = res[piv]
+        elim = []
         for r in range(k):
             if r == piv or deg[r] < deg[piv] or e[r] == 0:
                 continue
@@ -192,13 +206,91 @@ def _order_basis(series, sigma, prec):
             sr = res[r]
             for i in range(t + 1, sigma):
                 sr[i] -= c * sp[i]
-            for pr, pp in zip(rows[r], rp):
-                for i, v in enumerate(pp):
-                    pr[i] -= c * v
-        rows[piv] = [[mp.mpf(0)] + p for p in rp]
+            elim.append((r, c))
+        shadow.step(piv, elim)
+        steps.append((piv, elim))
         res[piv] = [mp.mpf(0)] + sp[:-1]
         deg[piv] += 1
-    return deg, rows
+    return deg, _replay_row(steps, deg, min(range(k), key=deg.__getitem__))
+
+
+class _RowShadow:
+    """The rows of :func:`_order_basis` in double precision, for the scale
+    that its pivot test reads.
+
+    Row r is ``man[r] * 2**exp[r]``: a (k, sigma + 1) array of mantissas,
+    complex when the series are, and an int exponent, so that a row's scale
+    may lie outside the range of double precision.  After each update the
+    row is renormalised by a power of two, which puts ``top[r]``, its largest
+    |mantissa|, in [1/2, 1).
+    """
+
+    def __init__(self, k, sigma, complex_):
+        self.man = np.zeros((k, k, sigma + 1), dtype=complex if complex_ else float)
+        self.man[range(k), range(k), 0] = 0.5
+        self.exp = [1] * k
+        self.top = [0.5] * k
+
+    def scale(self, r):
+        """The largest |coefficient| of row r, as an mpf."""
+        return mp.ldexp(self.top[r], self.exp[r])
+
+    def step(self, piv, elim):
+        """Row r -= c row piv for each (r, c) of ``elim``, then row piv *= x."""
+        man, exp = self.man, self.exp
+        for r, c in elim:
+            cm, ce = _split(c)
+            ce += exp[piv]
+            e = max(exp[r], ce)
+            row = man[r] * math.ldexp(1.0, exp[r] - e) - man[piv] * (cm * math.ldexp(1.0, ce - e))
+            m = float(np.abs(row).max())
+            # the clamp keeps 2^-shift finite should the row cancel below 2^-1000
+            shift = max(math.frexp(m)[1], -1000)
+            man[r] = row * 2.0 ** -shift
+            exp[r] = e + shift
+            self.top[r] = m * 2.0 ** -shift
+        man[piv, :, 1:] = man[piv, :, :-1].copy()
+        man[piv, :, 0] = 0
+
+
+def _split(x):
+    """x = m 2^e, as a double (or complex) mantissa m with |m| <= 1 and an
+    int e."""
+    if isinstance(x, mp.mpc):
+        _, e = mp.frexp(max(abs(x.real), abs(x.imag)))
+        return complex(mp.ldexp(x.real, -e), mp.ldexp(x.imag, -e)), e
+    m, e = mp.frexp(x)
+    return float(m), e
+
+
+def _replay_row(steps, deg, best):
+    """Row ``best`` of the order basis at the working precision, from the
+    steps (pivot, [(r, c), ...]) of :func:`_order_basis`.
+
+    The basis after the last step is T_{s-1} ... T_0 applied to the
+    identity, where T_t subtracts c times row ``piv`` from each row r and
+    then multiplies row ``piv`` by x.  Row ``best`` is e_best T_{s-1} ... T_0,
+    a row vector v of polynomials to which the steps apply from the last one
+    back: v[piv] is shifted by x, then v[piv] -= sum_r c v[r].  Written in
+    the basis before step t, row ``best`` has components v[j] of degree at
+    most deg[best] - deg_t[j], deg_t the row degrees then; v[j] is held at
+    exactly that length (empty below 0), which every step keeps, so the row
+    comes out with k components of length deg[best] + 1.
+    """
+    top = deg[best]
+    deg = list(deg)
+    zero = mp.mpf(0)
+    v = [[zero] * max(0, top - d + 1) for d in deg]
+    v[best] = [mp.mpf(1)]
+    for piv, elim in reversed(steps):
+        deg[piv] -= 1
+        p = [zero] * max(0, top - deg[piv] + 1)
+        p[1:] = v[piv]
+        for r, c in elim:
+            for i, x in enumerate(v[r]):
+                p[i] -= c * x
+        v[piv] = p
+    return v
 
 
 def _normalize(polys, prec):
@@ -244,14 +336,10 @@ def residual_order(sol: HPSolution, germs, precision_bits: int | None = None) ->
         tol = scale * mp.mpf(2) ** (-(prec // 4))
         d = None
         for m in range(n, -(min_len - n), -1):
-            r = mp.mpf(0)
-            for j in range(k):
-                cj = germs[j].coeffs
-                pj = sol.polys[j]
-                for i in range(n + 1):
-                    idx = i - m
-                    if 0 <= idx < len(cj):
-                        r += pj[i] * cj[idx]
+            # sum over j and i of Q_j[i] F_j[i - m], rounded once
+            lo = max(0, m)
+            r = mp.fdot(chain.from_iterable(
+                zip(p[lo : n + 1], g.coeffs[lo - m :]) for p, g in zip(sol.polys, germs)))
             if abs(r) > tol:
                 d = -m
                 break

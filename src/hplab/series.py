@@ -93,9 +93,10 @@ def _join(a: LaurentGerm, b: LaurentGerm):
 
 
 def germ_mul(a: LaurentGerm, b: LaurentGerm) -> LaurentGerm:
+    """a * b; a square (``a is b``) takes each product of a pair once."""
     n, prec = _join(a, b)
     with mp.workprec(prec):
-        out = _mul_trunc(a.coeffs, b.coeffs, n)
+        out = _sqr_trunc(a.coeffs, n) if a is b else _mul_trunc(a.coeffs, b.coeffs, n)
     return LaurentGerm(tuple(out), prec)
 
 
@@ -112,6 +113,25 @@ def _mul_trunc(a: list, b: list, n: int) -> list:
     for k in range(min(n, len(a) + len(b) - 1)):
         lo = max(0, k - len(b) + 1)
         out.append(mp.fdot(a[lo : k + 1], b[k - lo :: -1]))
+    return out
+
+
+def _sqr_trunc(a, n: int) -> list:
+    """First n coefficients of a * a, as ``_mul_trunc(a, a, n)`` with about
+    half the products.
+
+    The coefficient of index k takes each pair i < k - i once, as
+    a_i (2 a_{k-i}), plus a_{k/2}^2 for even k.  Doubling is exact, so the
+    dot product sums the same exact term products and rounds once."""
+    out = []
+    for k in range(min(n, 2 * len(a) - 1)):
+        lo, half = max(0, k - len(a) + 1), (k + 1) // 2
+        left = list(a[lo:half])
+        right = [2 * a[k - i] for i in range(lo, half)]
+        if k % 2 == 0:
+            left.append(a[k // 2])
+            right.append(a[k // 2])
+        out.append(mp.fdot(left, right))
     return out
 
 

@@ -144,6 +144,17 @@ def test_equilibrium_refuses_two_arcs(spec_file_p2, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stahl", "green", "nuttall", "equilibrium"])
+def test_plane_chain_refuses_two_interval_class(command, spec_file_z2, tmp_path, capsys):
+    # the compact of these commands lives on the chart of [-1, 1], which a
+    # spec with two intervals does not have
+    out = tmp_path / "out"
+    rc = main([command, "--spec", spec_file_z2, "--out", str(out)])
+    assert rc == 1
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_data_writes_every_arc(spec_file_p2, qd_sheets_p2, tmp_path):
     out = tmp_path / "out"
     rc = main(["figure-data", "--spec", spec_file_p2, "--out", str(out), "--n", "8"])

@@ -15,7 +15,10 @@ from hplab.hermite_pade import (
     polyroots_and_measure,
     residual_order,
 )
-from hplab.series import LaurentGerm, germ_of_family
+from hplab.funcspec import validate_spec
+from hplab.series import LaurentGerm, germ_constant, germ_of_family
+
+from conftest import RAW_Z
 
 
 PREC = 768
@@ -82,6 +85,30 @@ def test_degenerate_kernel_flagged():
     sol = hp_type1([f], n=n, precision_bits=256)
     assert sol.degenerate_kernel
     assert residual_order(sol, [f]) >= contract_order(2, n)
+
+
+# a conjugate pair with unequal exponents does not merge into a real
+# quadratic, so its germ has complex coefficients
+RAW_COMPLEX = {"class": "Z", "A": [["1.5", "1"], ["1.5", "-1"]], "alpha": ["1/2", "-1/2"]}
+
+
+@pytest.mark.parametrize("raw,k,n,degrees,degenerate", [
+    (RAW_Z, 4, 12, [13, 17, 6, 15], True),
+    (RAW_Z, 4, 20, [21, 21, 22, 19], True),
+    (RAW_Z, 3, 10, [11, 11, 10], False),
+    (RAW_COMPLEX, 4, 10, [11, 11, 10, 11], False),
+])
+def test_order_basis_degrees_near_pivot_threshold(raw, k, n, degrees, degenerate):
+    # 256 bits do not resolve these systems: some |e_r| sit within a few
+    # bits of the pivot threshold tiny * max|row|, so the row degrees pin
+    # how closely the rows' scale follows their coefficients
+    germs = germ_of_family(validate_spec(raw), n + contract_order(k, n), precision_bits=256)
+    germs = germs[: k - 1]
+    series = [germ_constant(1, germs[0].order, 256), *germs]
+    with mp.workprec(256):
+        deg, _ = hp_mod._order_basis([g.coeffs for g in series], k * (n + 1) - 1, 256)
+    assert deg == degrees
+    assert hp_type1(germs, n, precision_bits=256).degenerate_kernel is degenerate
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import RAW_Z2
 from hplab.funcspec import validate_spec
 from hplab.series import (
+    _mul_trunc,
     DegenerateInterval,
     LaurentGerm,
     RadiusTooSmall,
@@ -209,6 +210,21 @@ def test_germ_mul_commutes(a, b):
     for x, y in zip(ab.coeffs, ba.coeffs):
         # summation order differs, so equality only holds to working precision
         assert abs(x - y) <= mp.mpf(2) ** -230 * max(1, abs(x))
+
+
+@given(
+    a=st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=12),
+    prec=st.sampled_from([64, 256, 2048]),
+)
+@settings(max_examples=60, deadline=None)
+def test_germ_square_bit_identical_to_product(a, prec):
+    # integers on one binary scale keep the exponents of all term products
+    # within 2 prec bits of each other, where fdot sums them exactly
+    with mp.workprec(prec):
+        g = LaurentGerm(tuple(mp.ldexp(c, -40) for c in a), prec)
+        ref = _mul_trunc(g.coeffs, g.coeffs, len(g))
+    sq = germ_mul(g, g)
+    assert [c._mpf_ for c in sq.coeffs] == [c._mpf_ for c in ref]
 
 
 @given(
