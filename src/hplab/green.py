@@ -31,12 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import integrate_path
+from ._kernels import integrate_paths
 from .scurve import QuadraticDifferential, route_around
 from .surface import zeta_branch
 
 # Laurent terms of the far field (module docstring)
 _FAR_TERMS = 60
+
+# direction of the point on |z| = R0 that gives the Robin constant, slightly
+# off-axis to dodge collinear roots
+_ROBIN_DIRECTION = cmath.exp(1e-3j)
 
 # share of the arc, by arclength and centred on it, that the S-property
 # residual samples
@@ -77,14 +81,17 @@ def green_eval(qd: QuadraticDifferential, points) -> GreenEvaluation:
 
     Within |z| <= R0 each value is |Re \\int sqrt(V/B)| from the nearest
     endpoint along a routed path; beyond R0 it is the value at R0 z/|z| plus
-    the Laurent far field (module docstring).  The Robin constant comes from
-    :func:`robin_gamma`.
+    the Laurent far field (module docstring).  The Robin constant is that of
+    :func:`robin_gamma`, from a point evaluated in the same batch.
     """
     pts = [complex(z) for z in points]
-    values = tuple(float(v) for v in _green_many(qd, pts))
-    gamma = robin_gamma(qd)
+    laurent = _laurent(qd)
+    z0 = laurent[0] * _ROBIN_DIRECTION
+    g = _green_many(qd, pts + [z0], laurent)
+    gamma = _robin(g[-1], z0, laurent)
     return GreenEvaluation(
-        points=tuple(pts), values=values, robin=gamma, capacity=math.exp(-gamma)
+        points=tuple(pts), values=tuple(float(v) for v in g[:-1]), robin=gamma,
+        capacity=math.exp(-gamma),
     )
 
 
@@ -112,28 +119,34 @@ def _laurent(qd: QuadraticDifferential):
 
 
 def _laurent_tail(a, w) -> np.ndarray:
-    """Re sum_(k>=1) (a[k]/k) w^k for each w = R0/z; |w| <= 1 keeps the
-    powers from overflowing."""
-    w = np.asarray(w, dtype=complex).reshape(-1, 1)
-    k = np.arange(1, len(a))
-    return (w**k @ (a[1:] / k)).real
+    """Re sum_(k>=1) (a[k]/k) w^k for each w = R0/z, by Horner's rule, one
+    value per point; |w| <= 1 keeps the terms from overflowing."""
+    w = np.asarray(w, dtype=complex).reshape(-1)
+    c = a[1:] / np.arange(1, len(a))
+    acc = np.full(w.shape, c[-1])
+    for ck in c[-2::-1]:
+        acc = acc * w + ck
+    return (acc * w).real
 
 
-def _green_many(qd: QuadraticDifferential, pts):
+def _green_many(qd: QuadraticDifferential, pts, laurent=None) -> np.ndarray:
+    """Green values at ``pts``: every point within R0, or the point R0 z/|z|
+    for one beyond it, is routed from its nearest endpoint, and all the paths
+    go to :func:`integrate_paths` in one call.  ``laurent`` is
+    :func:`_laurent` of ``qd`` when the caller has it already."""
     num = list(qd.numerator_roots)
     den = list(qd.denominator_roots)
     roots = num + den
-    r0, a = _laurent(qd)
+    r0, a = _laurent(qd) if laurent is None else laurent
     pts = np.asarray(pts, dtype=complex)
     far = np.abs(pts) > r0
     starts = pts.copy()
     starts[far] = r0 * pts[far] / np.abs(pts[far])
-    out = np.empty(len(pts))
-    for i, z in enumerate(starts):
-        z = complex(z)
+    paths = []
+    for z in starts.tolist():
         anchor = min(den, key=lambda r: abs(z - r))
-        val, _ = integrate_path(num, den, route_around(anchor, z, roots))
-        out[i] = abs(val.real)
+        paths.append(route_around(anchor, z, roots))
+    out = np.abs(integrate_paths(num, den, paths).real)
     if far.any():
         out[far] += (
             np.log(np.abs(pts[far]) / np.abs(starts[far]))
@@ -143,13 +156,19 @@ def _green_many(qd: QuadraticDifferential, pts):
     return out
 
 
-def robin_gamma(qd: QuadraticDifferential) -> float:
-    """Robin constant lim (g(z) - log|z|), from one routed path to a point
-    z0 on |z| = R0: gamma = g(z0) - log|z0| + Re sum_k (a_k/k) z0^-k."""
-    r0, a = _laurent(qd)
-    z0 = r0 * cmath.exp(1e-3j)  # slightly off-axis to dodge collinear roots
-    g0 = _green_many(qd, [z0])[0]
+def _robin(g0: float, z0: complex, laurent) -> float:
+    """Robin constant from the Green value g0 at z0 on |z| = R0:
+    gamma = g(z0) - log|z0| + Re sum_k (a_k/k) z0^-k."""
+    r0, a = laurent
     return float(g0 - math.log(abs(z0)) + _laurent_tail(a, r0 / z0)[0])
+
+
+def robin_gamma(qd: QuadraticDifferential) -> float:
+    """Robin constant lim (g(z) - log|z|), from one routed path to the point
+    z0 = R0 exp(i/1000) (:func:`_robin`)."""
+    laurent = _laurent(qd)
+    z0 = laurent[0] * _ROBIN_DIRECTION
+    return _robin(_green_many(qd, [z0], laurent)[0], z0, laurent)
 
 
 # ---------------------------------------------------------------------------

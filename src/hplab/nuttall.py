@@ -78,8 +78,7 @@ def _dist_segment(z: complex, a: float, b: float) -> float:
 def _u_batch(qd: QuadraticDifferential, zs: np.ndarray) -> np.ndarray:
     zeta1 = zeta_branch(zs)
     g1 = np.log(np.abs(zeta1))
-    gf1 = _green_many(qd, list(zeta1))
-    gf2 = _green_many(qd, list(1 / zeta1))
+    gf1, gf2 = np.split(_green_many(qd, np.concatenate([zeta1, 1 / zeta1])), 2)
     u1 = -2 * gf1 - g1
     u2 = -2 * gf2 + g1
     u3 = 2 * gf2 + g1
@@ -128,15 +127,10 @@ def nuttall_report(
 
     r0, r1 = slope_radii
     radii = np.exp(np.linspace(math.log(r0), math.log(r1), slope_samples))
-    xs, ys = [], []
-    for k in range(slope_rays):
-        ang = 2 * math.pi * (k + 0.37) / slope_rays
-        zs = radii * cmath.exp(1j * ang)
-        uu = _u_batch(qd, zs)
-        xs.extend(np.log(radii))
-        ys.extend(uu[:, 0])
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    angles = 2 * math.pi * (np.arange(slope_rays) + 0.37) / slope_rays
+    zs = np.concatenate([radii * cmath.exp(1j * ang) for ang in angles])
+    xs = np.tile(np.log(radii), slope_rays)
+    ys = _u_batch(qd, zs)[:, 0]
     a = np.vstack([xs, np.ones_like(xs)]).T
     coef, res, _, _ = np.linalg.lstsq(a, ys, rcond=None)
     fit = a @ coef

@@ -157,10 +157,8 @@ def route_around(start: complex, end: complex, roots):
     detours = []
     for r in roots:
         r = complex(r)
-        if abs(r - start) < 1e-12 or abs(r - end) < 1e-12:
-            continue
         u = ((r - start) / d).real
-        if 0.0 < u < 1.0:
+        if 0.0 < u < 1.0 and abs(r - start) >= 1e-12 and abs(r - end) >= 1e-12:
             dist = abs(start + u * d - r)
             margin = _DETOUR * min(L, 1.0 + abs(r - start))
             if dist < margin:

@@ -9,8 +9,14 @@ The germ of f = prod (A_j - u)^{alpha_j}, u = 1/phi, alpha_j = +-1/2, is
 built from exact recurrences: u from its three-term Chebyshev recurrence,
 num(u) and den(u) (the products over alpha_j > 0 and alpha_j < 0) from
 u + 1/u = 2 (z - m) / h, then f^2 = num/den by one series division and f by
-one series square root.  Every product and recurrence sum is a dot product of
-exact term products, rounded once.
+one series square root.  Every product and recurrence sum is one ``mp.fdot``
+of exact term products, rounded once.  That sum is exact only while the terms
+stay within 2*prec bits of the running sum: mpmath's ``mpf_sum`` drops a term
+lying more than 2*prec bits below it (and restarts from a term that far
+above it), so when larger terms cancel afterwards the result depends on the
+order of the terms.  At 256 bits, coefficient 4 of a^2 for
+a = [1e-200, 1, 1, -0.5, 1] is exactly 2 a_0, about 2e-200; ``_mul_trunc``
+returns 1e-200 and ``_sqr_trunc`` returns 0.
 """
 
 from __future__ import annotations
@@ -108,7 +114,8 @@ def germ_constant(c, n: int, prec: int) -> LaurentGerm:
 
 def _mul_trunc(a: list, b: list, n: int) -> list:
     """First n coefficients of a * b (fewer if the product is shorter); each
-    is a dot product of exact term products, rounded once."""
+    is one ``mp.fdot`` of exact term products, rounded once, which drops
+    terms more than 2*prec bits below the running sum (module docstring)."""
     out = []
     for k in range(min(n, len(a) + len(b) - 1)):
         lo = max(0, k - len(b) + 1)
@@ -122,7 +129,10 @@ def _sqr_trunc(a, n: int) -> list:
 
     The coefficient of index k takes each pair i < k - i once, as
     a_i (2 a_{k-i}), plus a_{k/2}^2 for even k.  Doubling is exact, so the
-    dot product sums the same exact term products and rounds once."""
+    dot product sums the same exact term products in another order and
+    rounds once.  It agrees with ``_mul_trunc`` bit for bit while the terms
+    span less than 2*prec bits; beyond that ``mp.fdot`` drops terms by their
+    order, and the two can differ (module docstring)."""
     out = []
     for k in range(min(n, 2 * len(a) - 1)):
         lo, half = max(0, k - len(a) + 1), (k + 1) // 2

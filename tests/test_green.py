@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hplab._kernels import integrate_path
+from hplab._kernels import integrate_path, integrate_paths
 from hplab.green import (
     CircularArc,
     InadmissibleCandidate,
@@ -124,6 +124,51 @@ def test_kernel_branch_seed_flips_sign():
     flipped, _ = integrate_path(_BENT_NUM, _BENT_DEN, _BENT_PATH[1:], w0=-w)
     assert abs(rest) > 0.1
     assert flipped == pytest.approx(-rest, abs=1e-14)
+
+
+_MIXED_BATCH = [
+    _BENT_PATH,  # bent, with a detour vertex
+    [0.3 + 0.4j, 1.5 + 0.5j],  # starts at a denominator root
+    [0.1 + 0.2j, 2.0 + 0j],  # starts at the double numerator root
+    [1.5 - 0.5j, 0.3 - 0.4j],  # ends at a root
+    [0.3 + 0.4j, 0.3 - 0.4j],  # root to root
+    [1.0 + 1.0j, 1.0 + 1.0j],  # zero length
+    [-1.0 + 0.5j, 0.3 + 0.4j, 0.8 - 0.2j],  # through a root
+]
+
+
+def test_batched_paths_match_single_paths():
+    """The lockstep batch and the scalar single-path layout give the same
+    integral on every path, each path starting on the principal branch."""
+    batch = integrate_paths(_BENT_NUM, _BENT_DEN, _MIXED_BATCH)
+    assert batch.shape == (len(_MIXED_BATCH),)
+    for path, val in zip(_MIXED_BATCH, batch):
+        ref, _ = integrate_path(_BENT_NUM, _BENT_DEN, path)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+    assert batch[5] == 0
+    assert abs(batch[0]) > 0.1
+
+
+def test_empty_batches():
+    assert integrate_paths(_BENT_NUM, _BENT_DEN, []).shape == (0,)
+    assert np.array_equal(integrate_paths(_BENT_NUM, _BENT_DEN, [[1j, 1j]] * 3), np.zeros(3))
+
+
+def test_green_values_independent_of_batch(qd_p2):
+    """A point's Green value does not depend, to the last bit, on the other
+    points of its call: reversed order, or split so that the points fall in
+    other blocks of integrate_paths."""
+    r0, _ = _laurent(qd_p2)
+    rng = np.random.default_rng(3)
+    # most points within R0, where the path integral alone gives the value
+    pts = list(r0 * ((rng.random(150) * 2 - 1) + 1j * (rng.random(150) * 2 - 1)))
+    pts += [1e4 * cmath.exp(0.3j), 50.0 - 20j]
+    whole = _green_many(qd_p2, pts)
+    assert np.array_equal(_green_many(qd_p2, pts[::-1])[::-1], whole)
+    cuts = [0, 1, 40, 41, 100, len(pts)]
+    parts = [_green_many(qd_p2, pts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal([qd_green_fn(qd_p2)(z) for z in pts], whole)
 
 
 # ---------------------------------------------------------------------------
