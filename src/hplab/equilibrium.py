@@ -160,21 +160,28 @@ def solve_equilibrium(arc, n: int = 400) -> EnergyReport:
     """
     mids, cells, lengths = _cells(np.asarray(arc, dtype=complex), n)
     phis = zeta_branch(mids)
-    logdiff = np.abs(mids[:, None] - mids[None, :])
-    np.fill_diagonal(logdiff, 1.0)
-    g = -2 * np.log(logdiff) + np.log(np.abs(1 - phis[:, None] * phis[None, :]))
-    # lumped diagonal: cell-average of -2 log|z - t| at the midpoint
-    np.fill_diagonal(
-        g,
-        2 * (1 - np.log(lengths / 2)) + np.log(np.abs(1 - phis * phis)),
-    )
+    # log|1 - Phi(z) Phi(t)|, kept for the residual rows
+    prod = np.multiply.outer(phis, phis)
+    np.subtract(1, prod, out=prod)
+    log_phi = np.abs(prod)
+    del prod
+    np.log(log_phi, out=log_phi)
     v = np.log(np.abs(phis))
 
-    # stationarity: G w + v = c 1 on the support, sum w = 1
-    sys = np.zeros((n + 1, n + 1))
-    sys[:n, :n] = g
+    # stationarity: G w + v = c 1 on the support, sum w = 1; G is built in
+    # place in the system matrix
+    sys = np.empty((n + 1, n + 1))
+    g = sys[:n, :n]
+    np.abs(np.subtract.outer(mids, mids), out=g)
+    np.fill_diagonal(g, 1.0)
+    np.log(g, out=g)
+    g *= -2
+    g += log_phi
+    # lumped diagonal: cell-average of -2 log|z - t| at the midpoint
+    np.fill_diagonal(g, 2 * (1 - np.log(lengths / 2)) + np.diagonal(log_phi))
     sys[:n, n] = -1.0
     sys[n, :n] = 1.0
+    sys[n, n] = 0.0
     rhs = np.concatenate([-v, [1.0]])
     sol = np.linalg.solve(sys, rhs)
     w = sol[:n]
@@ -196,7 +203,7 @@ def solve_equilibrium(arc, n: int = 400) -> EnergyReport:
         rows = slice(start, min(start + _BLOCK_ROWS, hi))
         pvals[rows.start - lo:rows.stop - lo] = (
             _log_cell_integral(mids[rows, None], a, b) @ dens
-            + np.log(np.abs(1 - phis[rows, None] * phis)) @ w
+            + log_phi[rows] @ w
             + v[rows]
         )
     ref = float(np.average(pvals, weights=w[lo:hi]))

@@ -8,7 +8,10 @@ Two independent routes to the same quantities:
   :mod:`hplab._kernels`); and
 * a boundary-integral (Symm-type) solve for the equilibrium density of a
   parametrized arc, with the double-cover cosine substitution and spectral
-  quadrature for the logarithmic kernel.
+  (Kress) quadrature for the logarithmic kernel (R. Kress, *Linear Integral
+  Equations*).  The double cover maps theta and 2 pi - theta to the same
+  point, so the system is folded onto the half grid of nodes in (0, pi),
+  where it is regular and determines the density.
 
 Closed forms for segments and circular arcs serve as oracles and as
 high-accuracy Green functions for non-extremal comparison arcs.
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import integrate_paths
 from .scurve import QuadraticDifferential, route_around
@@ -176,40 +180,14 @@ def robin_gamma(qd: QuadraticDifferential) -> float:
 
 
 def _kress_weights(n: int) -> np.ndarray:
-    """w[k] = quadrature weight for the kernel log(4 sin^2(theta/2)) at grid
-    offset theta = 2 pi k / n, exact for trigonometric polynomials."""
-    k = np.arange(n)
-    theta = 2 * math.pi * k / n
-    m = np.arange(1, n // 2)
-    w = np.cos(np.outer(theta, m)) / m
-    w = w.sum(axis=1) + np.cos(n // 2 * theta) / n
-    return -(4 * math.pi / n) * w
-
-
-def _symm_grid(n: int):
-    """Quantities of the Symm solve that depend only on the grid size n:
-    theta, the Kress part of a self-interaction block, the product of the
-    sine factors, and the masks of the entries off and on the diagonals
-    tau = +-theta.
-
-    Kept apart from :func:`_symm_solve` so that its n x n index and sine
-    temporaries are freed before the system is assembled.  A larger peak
-    made the allocator trim the heap after every solve and fault about 5 MB
-    back in on the next one (n = 256).
-    """
-    theta = 2 * math.pi * (np.arange(n) + 0.5) / n
-    wk = _kress_weights(n)
-    # grid offsets: theta_i - theta_j = 2 pi (i - j)/n ; theta_i + theta_j =
-    # 2 pi (i + j + 1)/n, both multiples of 2 pi / n
-    idx = np.arange(n)
-    diff = (idx[:, None] - idx[None, :]) % n
-    summ = (idx[:, None] + idx[None, :] + 1) % n
-    kress = 0.5 * wk[diff] + 0.5 * wk[summ]
-    sin_ds = np.abs(2 * np.sin((theta[:, None] - theta[None, :]) / 2)) * np.abs(
-        2 * np.sin((theta[:, None] + theta[None, :]) / 2)
-    )
-    off = ~np.eye(n, dtype=bool) & (summ != 0)
-    return theta, kress, sin_ds, off, np.where(~off)
+    """w[m] = quadrature weight for the kernel log(4 sin^2(theta/2)) at grid
+    offset theta = 2 pi m / n, exact for trigonometric polynomials:
+    w[m] = -(4 pi / n) [sum_(0<j<n/2) cos(j theta) / j + cos(n theta / 2) / n],
+    all n of them from one FFT."""
+    c = np.zeros(n)
+    c[1:n // 2] = 1.0 / np.arange(1, n // 2)
+    c[n // 2] = 1.0 / n
+    return -(4 * math.pi / n) * np.fft.fft(c).real
 
 
 def _symm_solve(curves, dcurves, n: int):
@@ -218,53 +196,76 @@ def _symm_solve(curves, dcurves, n: int):
 
     The cosine substitution Z(theta) = curve(cos theta) double-covers each
     arc and absorbs the endpoint density singularity.  On its own arc the
-    logarithmic kernel is split as log(4 sin^2) terms, integrated with
-    spectral (Kress) weights, plus a smooth part whose limits at
-    tau = +-theta are log(|curve'(cos theta)| / 2); between arcs the kernel
-    is smooth and takes plain trapezoid weights.  Returns (robin, nodes,
-    density) with ``density`` taken with respect to d(theta)/(2 pi) on the
-    double covers, arc after arc.
+    logarithmic kernel is split as log|2 sin((theta -+ tau)/2)| terms,
+    integrated with spectral (Kress) weights w, plus a smooth part whose
+    limits at tau = +-theta are log(|curve'(cos theta)| / 2); between arcs the
+    kernel is smooth and takes plain trapezoid weights.
+
+    Since Z(2 pi - theta) = Z(theta), the system on the full grid of n nodes
+    has pairs of equal rows and of equal columns, and leaves the part of the
+    density that is odd under theta -> 2 pi - theta to rounding.  It is
+    solved on the half grid theta_j = 2 pi (j + 1/2) / n, j < n/2, for the
+    even density, each column adding its mirror's.  With
+    T(m) = w[m]/2 - (2 pi / n) log|2 sin(pi m / n)|, the self block is
+    2 [T(|i - j|) + T(i + j + 1) + (2 pi / n) log|Z_i - Z_j|], its diagonal
+    2 [w[0]/2 + w[2i + 1]/2 + (2 pi / n) log(|Z'_i| / 2)], the blocks between
+    arcs 2 (2 pi / n) log|Z_a - Z_b|, and the normalisation row has weights
+    4 pi / n.  Returns (robin, nodes, density) on the half grids, arc after
+    arc, with ``density`` taken with respect to d(theta) and of total mass 1
+    over the double covers.
     """
     if n % 2:
         raise ValueError("n must be even")
-    k = len(curves)
-    theta, kress, sin_ds, off, ii = _symm_grid(n)
-    x = np.cos(theta)
+    k, h = len(curves), n // 2
+    x = np.cos(2 * math.pi * (np.arange(h) + 0.5) / n)
     zs = [np.asarray([complex(c(xi)) for xi in x]) for c in curves]
     dzs = [np.asarray([complex(dc(xi)) for xi in x]) for dc in dcurves]
+    step = 2 * math.pi / n
+    hw = 0.5 * _kress_weights(n)
+    t = hw.copy()
+    t[1:] -= step * np.log(2 * np.sin(math.pi * np.arange(1, n) / n))
+    # Kress part of a self block: T(|i - j|) as a Toeplitz and T(i + j + 1) as
+    # a Hankel matrix, each row a window of one vector
+    kress = 2 * (
+        sliding_window_view(np.concatenate([t[h - 1:0:-1], t[:h]]), h)[::-1]
+        + sliding_window_view(t[1:n], h)
+    )
+    np.fill_diagonal(kress, 2 * (hw[0] + hw[1:n:2]))
 
-    big = np.zeros((k * n + 1, k * n + 1))
+    m = k * h
+    big = np.empty((m + 1, m + 1))
     for a in range(k):
         for b in range(k):
-            blk = np.s_[a * n:(a + 1) * n, b * n:(b + 1) * n]
+            blk = big[a * h:(a + 1) * h, b * h:(b + 1) * h]
+            np.abs(np.subtract.outer(zs[a], zs[b]), out=blk)
             if a == b:
-                dmat = np.abs(zs[a][:, None] - zs[a][None, :])
-                smooth = np.empty((n, n))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    smooth[off] = np.log(dmat[off] / sin_ds[off])
-                smooth[ii] = np.log(np.abs(dzs[a]) / 2)[ii[0]]
-                big[blk] = kress + (2 * math.pi / n) * smooth
-            else:
-                big[blk] = (2 * math.pi / n) * np.log(
-                    np.abs(zs[a][:, None] - zs[b][None, :])
-                )
-    big[: k * n, k * n] = 1.0
-    big[k * n, : k * n] = 2 * math.pi / n
-    rhs = np.zeros(k * n + 1)
-    rhs[k * n] = 1.0
+                # the limit of |Z_i - Z_j| over the two sine factors
+                np.fill_diagonal(blk, np.abs(dzs[a]) / 2)
+            np.log(blk, out=blk)
+            blk *= 2 * step
+            if a == b:
+                blk += kress
+    big[:m, m] = 1.0
+    big[m, :m] = 2 * step
+    big[m, m] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
     sol = np.linalg.solve(big, rhs)
-    return float(sol[k * n]), np.concatenate(zs), sol[: k * n]
+    return float(sol[m]), np.concatenate(zs), sol[:m]
 
 
 def capacity_robin(curve, dcurve, n: int = 256):
     """Logarithmic capacity and Robin constant of the analytic arc
     ``curve(x)``, x in [-1, 1], by the Symm integral equation
-    (:func:`_symm_solve`).  Returns (capacity, robin, nodes, density) where
-    ``density`` is the equilibrium density with respect to d(theta)/(2 pi)
-    on the double cover.
+    (:func:`_symm_solve`).  Returns (capacity, robin, nodes, density) on the
+    n nodes theta_j = 2 pi (j + 1/2) / n of the double cover: the half-grid
+    solution and its mirror copy, so that density[j] = density[n - 1 - j].
+    ``density`` is the equilibrium density with respect to d(theta), of total
+    mass 1 over the double cover.
     """
     gamma, z, density = _symm_solve([curve], [dcurve], n)
-    return math.exp(-gamma), gamma, z, density
+    return (math.exp(-gamma), gamma, np.concatenate([z, z[::-1]]),
+            np.concatenate([density, density[::-1]]))
 
 
 def capacity_robin_multi(curves, dcurves, n: int = 128):
@@ -446,16 +447,16 @@ def robin_compare(qd: QuadraticDifferential, candidates, n: int = 512) -> RobinC
     capacity), so it is listed first.
     """
     den = [complex(r) for r in qd.denominator_roots]
+    ends = np.asarray(den)
     labels = ["extremal"]
     robins = [robin_gamma(qd)]
     for i, cand in enumerate(candidates):
-        for r in den:
-            if min(abs(r - complex(p)) for p in cand.samples()) > 1e-9 * max(
-                1.0, abs(r)
-            ):
-                raise InadmissibleCandidate(
-                    f"candidate {i} misses the required point {r}"
-                )
+        gap = np.abs(ends[:, None] - cand.samples()).min(axis=1)
+        miss = np.flatnonzero(gap > 1e-9 * np.maximum(1.0, np.abs(ends)))
+        if len(miss):
+            raise InadmissibleCandidate(
+                f"candidate {i} misses the required point {den[miss[0]]}"
+            )
         curve, dcurve = cand.parametrization()
         _, gamma, _, _ = capacity_robin(curve, dcurve, n)
         labels.append(f"candidate-{i}")

@@ -203,15 +203,30 @@ def test_bie_requires_even_n():
 
 def test_density_positive_and_normalized():
     cap, gamma, z, density = capacity_robin(lambda x: x, lambda x: 1.0, n=128)
-    # the double cover determines the density only up to a component that is
-    # antisymmetric under theta -> 2 pi - theta; the physical density is the
-    # mirror symmetrization
-    sym = 0.5 * (density + density[::-1])
-    assert np.all(sym > 0)
+    # the double cover maps theta and 2 pi - theta to the same point, and the
+    # half-grid solve gives the density there once
+    assert np.array_equal(z, z[::-1])
+    assert np.array_equal(density, density[::-1])
+    assert np.all(density > 0)
     assert (2 * math.pi / 128) * density.sum() == pytest.approx(1.0, abs=1e-12)
     # equilibrium density of a segment: 1/(pi sqrt(1-x^2)) dx pulls back to
     # the uniform measure dtheta/(2 pi) on the double cover
-    assert np.max(np.abs(sym - 1 / (2 * math.pi))) < 1e-10
+    assert np.max(np.abs(density - 1 / (2 * math.pi))) < 1e-10
+
+
+@pytest.mark.parametrize("sagitta", [None, 0.2, -0.3])
+def test_density_stable_under_rounding_of_the_curve(sagitta):
+    """A relative change of 1e-15 to the curve moves the density by rounding
+    only: the solve determines it."""
+    if sagitta is None:
+        curve, dcurve = (lambda x: x), (lambda x: 1.0)
+    else:
+        curve, dcurve = CircularArc(1 / 3, 1 / 2, sagitta / 6).parametrization()
+    _, _, _, density = capacity_robin(curve, dcurve, n=256)
+    _, _, _, moved = capacity_robin(
+        lambda x: curve(x) * (1 + 1e-15), lambda x: dcurve(x) * (1 + 1e-15), n=256
+    )
+    assert np.max(np.abs(moved - density)) < 1e-9 * np.max(np.abs(density))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hplab.nuttall import default_grid, nuttall_report
+from hplab.nuttall import _GRID_MARGIN, _projection_nodes, default_grid, nuttall_report
 from hplab.surface import green_signed, lift
 
 # point checks: structure, pairing, a conjugate pair, the middle gap
@@ -70,6 +70,24 @@ def test_default_grid_deterministic(qd_p1):
     assert np.array_equal(a, b)
     assert len(a) == 100
     assert np.all(np.abs(a.real) <= 4.0) and np.all(np.abs(a.imag) <= 4.0)
+
+
+@pytest.mark.parametrize("n, box", [(1, 4.0), (300, 4.0), (300, 1.0)])
+def test_default_grid_matches_scalar_loop(qd_p2, n, box):
+    """The blocked, vectorised candidate test accepts the same points, in the
+    same order, as one scalar distance per candidate."""
+    rng = np.random.default_rng(7)
+    nodes = _projection_nodes(qd_p2)
+    ref = []
+    while len(ref) < n:
+        cand = (rng.random(2 * n) * 2 - 1) * box + 1j * (rng.random(2 * n) * 2 - 1) * box
+        for z in cand.tolist():
+            d = min(abs(z - min(max(z.real, -1.0), 1.0)), float(np.min(np.abs(nodes - z))))
+            if d > _GRID_MARGIN:
+                ref.append(z)
+                if len(ref) == n:
+                    break
+    assert np.array_equal(default_grid(qd_p2, n, box=box), np.asarray(ref))
 
 
 def test_grid_avoids_cuts(qd_p1):
