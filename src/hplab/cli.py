@@ -130,9 +130,10 @@ def _solve_hp(spec, k, n, prec):
     return sol, hp_mod.residual_order(sol, list(germs))
 
 
-def _zeros(args, poly):
-    """Roots and zero-counting measure of ``poly``, to ``--tol``."""
-    return hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10)
+def _zeros(args, poly, prec):
+    """Roots and zero-counting measure of ``poly``, to ``--tol``, at the
+    precision ``prec`` of the solve that gave ``poly``."""
+    return hp_mod.polyroots_and_measure(poly, tol=args.tol or 1e-10, precision_bits=prec)
 
 
 def _cmd_hp(args, spec):
@@ -144,7 +145,7 @@ def _cmd_hp(args, spec):
         with mp.workprec(prec):
             coeffs = [mp.nstr(c, int(prec * 0.30103) + 10) for c in poly]
         _write_json(args, f"Q_{n}_{j}.json", {"degree_bound": n, "coeffs": coeffs})
-        zs, _ = _zeros(args, poly)
+        zs, _ = _zeros(args, poly, prec)
         _write_roots(args, f"Q_{n}_{j}_roots.csv", zs)
     _write_json(args, "hp_report.json", {
         "k": k, "n": n, "precision_bits": prec, "achieved_order": order,
@@ -267,7 +268,7 @@ def _cmd_equilibrium(args, spec):
     n_hp = 40
     prec = args.precision_bits or max(2048, 64 * n_hp + 512)
     sol, _ = _solve_hp(spec, 3, n_hp, prec)
-    _, mu = _zeros(args, sol.polys[2])
+    _, mu = _zeros(args, sol.polys[2], prec)
     _write_json(args, "equilibrium_report.json", {
         "cells": n_cells,
         "residual_sup": rep.residual_sup,
@@ -286,13 +287,13 @@ def _cmd_figure_data(args, spec):
     # Pade denominator zeros (accumulate on the base interval system)
     n_pade = min(n, 30)
     sol2, _ = _solve_hp(spec, 2, n_pade, prec)
-    zs, _ = _zeros(args, sol2.polys[1])
+    zs, _ = _zeros(args, sol2.polys[1], prec)
     _write_roots(args, "pade_zeros.csv", zs)
 
     # Hermite-Pade zero clouds for the [1, f, f^2] system
     sol3, order3 = _solve_hp(spec, 3, n, prec)
     for j, poly in enumerate(sol3.polys):
-        zs, _ = _zeros(args, poly)
+        zs, _ = _zeros(args, poly, prec)
         _write_roots(args, f"hp_zeros_q{j}.csv", zs)
 
     # the uniformizing chart of the two-interval class is not a single

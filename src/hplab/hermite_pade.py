@@ -88,7 +88,7 @@ class ZeroSet:
     roots: tuple
     multiplicities: tuple
     residual_bound: float
-    radii: tuple = ()
+    radii: tuple
 
 
 @dataclass(frozen=True)
@@ -377,15 +377,20 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
     ``poly`` holds ascending coefficients (ints, floats, complex numbers,
     decimal strings or mpmath numbers).  Trailing coefficients below
     2^{-prec/2} of the largest are trimmed first; roots and disks are those
-    of the trimmed polynomial, which keeps ``deg`` roots.  The iteration
-    starts on the circles of the Newton polygon of log|c_i|, climbs a ladder
-    of precisions from double up to ``work = 2 * prec`` bits, and runs at
-    ``work`` until its steps reach the rounding floor (see ``_aberth``), so
-    the roots carry full working precision whatever ``tol``.
+    of the trimmed polynomial, which keeps ``deg`` roots.  A run of s exactly
+    zero coefficients at the low end is split off as s roots exactly 0, each
+    with radius 0.  The iteration (:func:`_aberth`) runs on the rest: it
+    starts on the circles of the Newton polygon of log|c_i| and climbs a
+    ladder of precisions from double up to ``work = 2 * prec`` bits, each
+    rung stopping a root once |p(z)| is at its rounding level, so the roots
+    carry full working precision whatever ``tol``.
 
     Certificate: ``radii[i]`` bounds Neumaier's inclusion radius
     deg |p(z_i)| / |a_n prod_{j != i} (z_i - z_j)| from above, evaluated in
-    interval arithmetic on enclosures of the coefficients as passed in.
+    interval arithmetic on enclosures of the coefficients as passed in; at a
+    root z_i != 0 the factors z_i^s of p and of the product cancel, leaving
+    deg / (deg - s) times Neumaier's radius of p / z^s: a larger disk about
+    the same root, so what follows still holds.
     Every zero of p lies in the union of the disks |z - z_i| <= r_i, and a
     connected component of m overlapping disks holds exactly m zeros counted
     with multiplicity; ``multiplicities[i]`` is the size of the component
@@ -409,9 +414,12 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
         with mp.workprec(work):
             cs = [mp.mpmathify(c) for c in coeffs]
             deg = len(cs) - 1
-            roots = _aberth(cs, deg, work)
+            at_zero = next(i for i, c in enumerate(cs) if c != 0)
+            roots = [mp.mpc(0)] * at_zero
+            if at_zero < deg:
+                roots += _aberth(cs[at_zero:], work)
             bound = _residual_bound(cs, roots)
-            radii, sizes = _inclusion_disks(coeffs, roots, work)
+            radii, sizes = _inclusion_disks(coeffs, roots, work, at_zero)
             rel_radius = max(r / max(1, abs(z)) for r, z in zip(radii, roots))
             if bound <= tol and rel_radius <= tol:
                 order = sorted(range(deg), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
@@ -433,25 +441,17 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
     )
 
 
-def _aberth(cs, deg, prec):
+def _aberth(cs, prec):
     """Aberth-Ehrlich iteration on a ladder of precisions, after MPSolve
     (Bini & Robol, J. Comput. Appl. Math. 2014).
 
     The starts lie on the circles of the Newton polygon of log|c_i|
     (:func:`_newton_polygon_starts`).  The rungs run in complex128
-    (:func:`_double_rung`), then at 128, 256, ... bits below ``prec``
-    (:func:`_mp_rung`); a rung stops moving a root once |p(z)| is at its
-    rounding level, and the next rung starts from the roots so fixed.  The
-    last rung runs at ``prec`` bits.
-
-    Its stop rule, after the stagnation tests of MPSolve, is on the largest
-    relative step of a sweep: once it is below 2^{-prec/2}, one more sweep
-    reaches the rounding floor, since the iteration converges cubically at
-    simple roots.  Multiple roots (where convergence is only linear, and a
-    root of multiplicity m is fixed only to about 2^{-prec/m}) and
-    ill-conditioned ones leave the steps at a floor above that level, so the
-    loop also stops when the step, once below 2^{-prec/4}, has not halved for
-    3 sweeps.  200 sweeps are the last guard.
+    (:func:`_double_rung`), then at 128, 256, ... bits below ``prec`` and
+    last at ``prec`` bits (:func:`_mp_rung`).  Every rung has the same stop
+    rule: a root stops once |p(z)| is at the rounding level of that rung,
+    and the next rung starts from the roots so fixed.  ``cs[0]`` must be
+    nonzero: an exact zero at 0 is split off by the caller.
     """
     logs = _log2_moduli(cs)
     starts = _newton_polygon_starts(logs)
@@ -464,25 +464,7 @@ def _aberth(cs, deg, prec):
     while rung < prec:
         roots = _mp_rung(cs, roots, rung)
         rung *= 2
-    converged = mp.mpf(2) ** (-(prec // 2))
-    watched = mp.mpf(2) ** (-(prec // 4))
-    best, stalled, last = None, 0, False
-    for _ in range(200):
-        roots, moved, _ = _sweep(cs, roots, range(deg))
-        if last:
-            break
-        if moved < converged:
-            last = True
-        elif best is None:
-            if moved < watched:
-                best = moved
-        elif moved <= best / 2:
-            best, stalled = moved, 0
-        else:
-            stalled += 1
-            if stalled == 3:
-                break
-    return roots
+    return _mp_rung(cs, roots, prec)
 
 
 def _log2_moduli(cs):
@@ -573,7 +555,8 @@ def _mp_rung(cs, roots, prec):
     """Aberth sweeps at ``prec`` bits until every root meets the rounding
     test |p(z)| <= 4 deg 2^-prec sum_k |c_k| |z|^k (or stops moving, see
     :func:`_sweep`), or 100 sweeps have run.  A root that meets it is not
-    moved again in this rung."""
+    moved again in this rung.  Every rung after the double one is this
+    routine, the last one at the working precision included."""
     deg = len(roots)
     with mp.workprec(prec):
         cs = [+c for c in cs]
@@ -581,41 +564,41 @@ def _mp_rung(cs, roots, prec):
         tol = 4 * deg * mp.mpf(2) ** -prec
         live = range(deg)
         for _ in range(100):
-            roots, _, live = _sweep(cs, roots, live, moduli, tol)
+            roots, live = _sweep(cs, roots, live, moduli, tol)
             if not live:
                 break
     return roots
 
 
-def _sweep(cs, roots, active, moduli=None, tol=None):
+def _sweep(cs, roots, active, moduli, tol):
     """One Jacobi sweep of the Aberth correction over the roots ``active``,
     at the working precision.
 
-    With ``moduli`` (the |c_k|), a root that meets the rounding test
-    |p(z)| <= tol sum_k |c_k| |z|^k keeps its place and leaves the active
-    list.  So does a root whose step falls below 2^-prec of max(1, |z|): a
-    root converging to an exact zero at 0 never meets the rounding test,
-    which is relative to the terms of p.  1/(z_i - z_j) is computed once
-    per pair: (j, i) takes its negation, which is exact, so the roots are
-    those of computing both.
-    Returns the new roots, the largest step relative to max(1, |z|), and the
-    roots still active.
+    A root that meets the rounding test |p(z)| <= tol sum_k |c_k| |z|^k
+    (``moduli`` holds the |c_k|) keeps its place and leaves the active list.
+    So does a root whose step falls below 2^-prec of max(1, |z|), the
+    scale the certificate measures it against: it no longer moves at this
+    precision.  That rule is a guard, for a root whose rounding in Horner's
+    rule exceeds what the test allows; an exact multiple zero at 0, where
+    |p(z)| and the sum shrink alike and the test is never met, is split off
+    before Aberth (see :func:`polyroots_and_measure`).  1/(z_i - z_j) is
+    computed once per pair: (j, i) takes its negation, which is exact, so
+    the roots are those of computing both.
+    Returns the new roots and the roots still active.
     """
     n = len(roots)
     inv = [[None] * n for _ in range(n)]
     eps = mp.mpf(2) ** (-mp.mp.prec + 8)
     unit = mp.mpf(2) ** -mp.mp.prec
     new = list(roots)
-    moved = mp.mpf(0)
     left = []
     for i in active:
         r = roots[i]
         p, dp = _horner_with_derivative(cs, r)
-        if moduli is not None and abs(p) <= tol * _horner(moduli, abs(r)):
+        if abs(p) <= tol * _horner(moduli, abs(r)):
             continue
         if dp == 0:
             new[i] = r + eps
-            moved = max(moved, eps)
             left.append(i)
             continue
         newton = p / dp
@@ -634,11 +617,9 @@ def _sweep(cs, roots, active, moduli=None, tol=None):
         denom = 1 - newton * s
         delta = newton / denom if denom != 0 else newton
         new[i] = r - delta
-        step = abs(delta) / max(1, abs(r))
-        moved = max(moved, step)
-        if step >= unit:
+        if abs(delta) / max(1, abs(r)) >= unit:
             left.append(i)
-    return new, moved, left
+    return new, left
 
 
 def _residual_bound(cs, roots):
@@ -651,9 +632,12 @@ def _residual_bound(cs, roots):
     return worst
 
 
-def _inclusion_disks(coeffs, roots, prec):
+def _inclusion_disks(coeffs, roots, prec, at_zero=0):
     """Neumaier's inclusion radii of ``roots`` and the size of the cluster of
     overlapping disks that holds each root.
+
+    The first ``at_zero`` roots are the exact zeros at 0 of a polynomial
+    whose ``at_zero`` lowest coefficients are exactly 0; their radius is 0.
 
     Evaluated in mpmath interval arithmetic at ``prec`` bits.  Each
     coefficient is enclosed as given: an mpmath number exactly, an int,
@@ -666,8 +650,8 @@ def _inclusion_disks(coeffs, roots, prec):
     cs = [iv.convert(c) for c in coeffs]
     zs = [iv.convert(z) for z in roots]
     deg = len(zs)
-    radii = []
-    for i, z in enumerate(zs):
+    radii = [mp.mpf(0)] * at_zero
+    for i, z in enumerate(zs[at_zero:], at_zero):
         p = iv.mpf(0)
         for c in reversed(cs):
             p = p * z + c

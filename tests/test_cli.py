@@ -71,6 +71,16 @@ def test_hp_outputs(spec_file_z, tmp_path):
         assert csv[2] == "re,im,multiplicity"
 
 
+def test_hp_roots_one_row_per_degree(spec_file_z, tmp_path):
+    # the roots are found at the solve's precision: at the default 256 bits
+    # the trim rule dropped the leading coefficient of Q_0 as noise
+    out = tmp_path / "out"
+    assert main(["hp", "--spec", spec_file_z, "--out", str(out), "--n", "18"]) == 0
+    for j in range(3):
+        rows = (out / f"Q_18_{j}_roots.csv").read_text().splitlines()[3:]
+        assert len(rows) == 18
+
+
 def test_stahl_outputs(spec_file_z, tmp_path):
     out = tmp_path / "out"
     rc = main(["stahl", "--spec", spec_file_z, "--out", str(out)])

@@ -209,18 +209,11 @@ def test_discrete_measure_projection():
     assert list(z) == [0.5, 1 + 2j]
 
 
-def _covers(zeros, e, idx=None):
-    """True when the disk of one of the roots ``idx`` (default all) holds e."""
-    idx = range(len(zeros.roots)) if idx is None else idx
-    return any(abs(zeros.roots[i] - e) <= zeros.radii[i] for i in idx)
-
-
-@pytest.mark.parametrize("precision_bits", [None, 2048])
-def test_aberth_stops_before_sweep_cap(precision_bits, spec_z, monkeypatch):
-    # each sweep evaluates p and p' once per root, so calls / deg = sweeps
-    k, n, bits = 3, 10, 2048
-    germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
-    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
+@pytest.fixture
+def horner_calls(monkeypatch):
+    """One entry per call of ``_horner_with_derivative``: every rung
+    evaluates p and p' through it, once per root and sweep at multiple
+    precision and once per sweep in double precision."""
     calls = []
     one_pass = hp_mod._horner_with_derivative
 
@@ -229,12 +222,27 @@ def test_aberth_stops_before_sweep_cap(precision_bits, spec_z, monkeypatch):
         return one_pass(coeffs, x)
 
     monkeypatch.setattr(hp_mod, "_horner_with_derivative", counted)
+    return calls
+
+
+def _covers(zeros, e, idx=None):
+    """True when the disk of one of the roots ``idx`` (default all) holds e."""
+    idx = range(len(zeros.roots)) if idx is None else idx
+    return any(abs(zeros.roots[i] - e) <= zeros.radii[i] for i in idx)
+
+
+@pytest.mark.parametrize("precision_bits", [None, 2048])
+def test_aberth_stops_before_sweep_cap(precision_bits, spec_z, horner_calls):
+    # each sweep evaluates p and p' once per root, so calls / deg = sweeps
+    k, n, bits = 3, 10, 2048
+    germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
+    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
     for q in sol.polys:
-        calls.clear()
+        horner_calls.clear()
         zeros, _ = polyroots_and_measure(q, tol=1e-10, precision_bits=precision_bits)
         deg = len(zeros.roots)
         assert deg == n
-        assert len(calls) <= 40 * deg
+        assert len(horner_calls) <= 40 * deg
 
 
 def test_polyroots_double_root_cluster():
@@ -282,7 +290,7 @@ def test_newton_polygon_starts_find_far_root():
     # against 1e80
     work = 512
     with mp.workprec(work):
-        roots = hp_mod._aberth(cs, 4, work)
+        roots = hp_mod._aberth(cs, work)
         bound = hp_mod._residual_bound(cs, roots)
         radii, sizes = hp_mod._inclusion_disks(poly, roots, work)
     assert bound <= 1e-14
@@ -311,23 +319,32 @@ def test_polyroots_root_beyond_double_range():
     assert abs(zeros.roots[1] - a) <= 1e-14 * mp.mpf(a)
 
 
-def test_aberth_ladder_sweeps_on_hp_zeros(spec_z, monkeypatch):
-    # every rung evaluates p through _horner_with_derivative: once per root
-    # and sweep at multiple precision, once per sweep in double precision
+def test_aberth_ladder_sweeps_on_hp_zeros(spec_z, horner_calls):
     k, n, bits = 3, 10, 2048
     germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
     sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
-    calls = []
-    one_pass = hp_mod._horner_with_derivative
-
-    def counted(coeffs, x):
-        calls.append(1)
-        return one_pass(coeffs, x)
-
-    monkeypatch.setattr(hp_mod, "_horner_with_derivative", counted)
     for q in sol.polys:
-        calls.clear()
+        horner_calls.clear()
         zeros, _ = polyroots_and_measure(q, tol=1e-10)
         deg = len(zeros.roots)
         assert deg == n
-        assert len(calls) <= 12 * deg
+        assert len(horner_calls) <= 12 * deg
+
+
+def test_exact_zeros_at_zero_split_off(spec_z, horner_calls):
+    # at 256 bits the kernel of RAW_Z for k=4, n=12 is degenerate, and the
+    # row returned has its six lowest coefficients exactly 0 in every Q_j;
+    # Aberth converges only linearly to a multiple zero, so it must not see
+    # them
+    k, n = 4, 12
+    germs = germ_of_family(spec_z, n + contract_order(k, n), precision_bits=256)
+    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=256)
+    assert sol.degenerate_kernel
+    for q in sol.polys:
+        horner_calls.clear()
+        zeros, _ = polyroots_and_measure(q, tol=1e-10, precision_bits=256)
+        deg = len(zeros.roots)
+        at_zero = [i for i, z in enumerate(zeros.roots) if z == 0]
+        assert len(at_zero) == 6
+        assert all(zeros.multiplicities[i] == 6 and zeros.radii[i] == 0 for i in at_zero)
+        assert len(horner_calls) <= 12 * deg
