@@ -111,7 +111,7 @@ def _cmd_germ(args, spec):
     n = args.n or 64
     prec = args.precision_bits or se.default_precision_bits(n)
     tol = args.tol or 1e-30
-    f = se.germ_of_family(spec, n, prec)[0]
+    (f,) = se.germ_of_family(spec, n, prec, powers=1)
     oracle = se.oracle_coeffs(spec, n, precision_bits=prec)
     with mp.workprec(prec):
         scale = f.max_abs()
@@ -125,7 +125,7 @@ def _cmd_germ(args, spec):
 
 
 def _solve_hp(spec, k, n, prec):
-    germs = se.germ_of_family(spec, n + hp_mod.contract_order(k, n) + 25, prec)[: k - 1]
+    germs = se.germ_of_family(spec, n + hp_mod.contract_order(k, n) + 25, prec, powers=k - 1)
     sol = hp_mod.hp_type1(list(germs), n, prec)
     return sol, hp_mod.residual_order(sol, list(germs))
 

@@ -290,15 +290,20 @@ def _parts(spec: FunctionSpec) -> list:
 
 
 def germ_of_family(
-    spec: FunctionSpec, n: int, precision_bits: int | None = None
-) -> tuple[LaurentGerm, LaurentGerm, LaurentGerm]:
-    """Germs of f, f^2, f^3 at infinity, truncated at O(z^{-n-1}).
+    spec: FunctionSpec, n: int, precision_bits: int | None = None, powers: int = 3
+) -> tuple[LaurentGerm, ...]:
+    """Germs of f, ..., f^powers at infinity (``powers`` is 1, 2 or 3),
+    truncated at O(z^{-n-1}).
 
     f^2 = num/den is rational in u = 1/phi on each interval: f is one series
     division and one square root, after O(n) work for u and the polynomials.
+    f^2 is then germ_mul(f, f) and f^3 is germ_mul(f^2, f), each built only
+    when asked for, so fewer powers give a prefix of the default bit for bit.
     """
     if n < 1:
         raise SeriesError("truncation order must be at least 1")
+    if powers not in (1, 2, 3):
+        raise SeriesError(f"powers must be 1, 2 or 3, not {powers}")
     prec = precision_bits or default_precision_bits(n)
     with mp.workprec(prec + 16):
         num, den, root = [mp.mpf(1)], [mp.mpf(1)], mp.mpf(1)
@@ -314,9 +319,10 @@ def germ_of_family(
         g = germ_sqrt(square, root)
         with mp.workprec(prec):
             f = LaurentGerm(tuple(+c for c in g.coeffs), prec)
-    f2 = germ_mul(f, f)
-    f3 = germ_mul(f2, f)
-    return f, f2, f3
+    family = [f]
+    while len(family) < powers:
+        family.append(germ_mul(family[-1], f))
+    return tuple(family)
 
 
 def _phi_value(z, interval):

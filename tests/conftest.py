@@ -31,6 +31,23 @@ def polyline_hausdorff(path_a, path_b) -> float:
     return float(max(_point_to_polyline(a, b).max(), _point_to_polyline(b, a).max()))
 
 
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """One entry per call that ``hplab.scurve`` makes to ``integrate_path``,
+    the Gauss-Jacobi path quadrature behind the period solve and the trace."""
+    import hplab.scurve as scurve
+
+    calls = []
+    integrate = scurve.integrate_path
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(scurve, "integrate_path", counted)
+    return calls
+
+
 def segment_samples(a: complex, b: complex, n: int = 2001) -> np.ndarray:
     t = np.linspace(0.0, 1.0, n)
     return complex(a) + (complex(b) - complex(a)) * t

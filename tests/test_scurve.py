@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hplab.scurve as scurve
 from hplab._kernels import integrate_path
 from hplab.green import green_eval, robin_gamma
 from hplab.scurve import (
@@ -104,6 +105,28 @@ def test_trace_equispaced_in_natural_parameter(qd_any):
 def test_green_vanishes_on_traced_vertices(qd_any):
     for arc in trace_compact(qd_any).arcs:
         assert max(green_eval(qd_any, list(arc[1:-1])).values) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["qd_p1", "qd_sheets_p2"])
+def test_trace_takes_one_quadrature_per_vertex(name, request, integrate_calls):
+    """The quartic predictor starts Newton within _NEWTON_TOL of all but the
+    first few vertices, so each of those costs the one quadrature whose value
+    is the miss; a weaker predictor needs two."""
+    qd = request.getfixturevalue(name)
+    before = len(integrate_calls)
+    comp = trace_compact(qd)
+    assert len(integrate_calls) - before <= len(comp.arcs) * (scurve._ARC_POINTS + 10)
+
+
+@pytest.mark.parametrize("name", ["qd_p1", "qd_sheets_p2"])
+def test_trace_agrees_with_tight_newton(name, request, monkeypatch):
+    """One Newton step from a miss below _NEWTON_TOL leaves about its square,
+    so stopping there places the vertices as a 1e-12 stop rule does."""
+    qd = request.getfixturevalue(name)
+    shipped = trace_compact(qd)
+    monkeypatch.setattr(scurve, "_NEWTON_TOL", 1e-12)
+    tight = trace_compact(qd)
+    assert max(np.abs(a - b).max() for a, b in zip(shipped.arcs, tight.arcs)) <= 1e-12
 
 
 def test_trace_is_deterministic(qd_sheets_p2):

@@ -4,13 +4,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RAW_Z2
+from conftest import RAW_P2, RAW_Z2
 from hplab.funcspec import validate_spec
 from hplab.series import (
     _mul_trunc,
     DegenerateInterval,
     LaurentGerm,
     RadiusTooSmall,
+    SeriesError,
     ZeroConstantTerm,
     default_precision_bits,
     evaluate_closed_form,
@@ -89,6 +90,22 @@ def test_germ_of_family_leading_coeffs(spec_z):
         fff = germ_mul(ff, f)
         for a, b in zip(fff.coeffs, f3.coeffs):
             assert abs(a - b) == 0
+
+
+@pytest.mark.parametrize("raw", [RAW_P2, RAW_Z2], ids=["p2", "z2"])
+@pytest.mark.parametrize("powers", [1, 2])
+def test_germ_of_family_fewer_powers_bit_identical(raw, powers):
+    spec = validate_spec(raw)
+    full = germ_of_family(spec, 20, precision_bits=256)
+    fewer = germ_of_family(spec, 20, precision_bits=256, powers=powers)
+    assert len(fewer) == powers
+    assert fewer == full[:powers]
+
+
+@pytest.mark.parametrize("powers", [0, 4])
+def test_germ_of_family_rejects_powers_out_of_range(spec_z, powers):
+    with pytest.raises(SeriesError):
+        germ_of_family(spec_z, 8, precision_bits=256, powers=powers)
 
 
 # p = 2, two conjugate pairs with the same exponent: multiplied as four
