@@ -385,12 +385,24 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
     rung stopping a root once |p(z)| is at its rounding level, so the roots
     carry full working precision whatever ``tol``.
 
+    For real coefficients (ints, floats, decimal strings or mpf numbers)
+    the roots are exactly conjugate-closed: a real root has imaginary part
+    exactly 0, and the conjugate of any other root is a root.  The ladder
+    splits them into real roots and conjugate pairs after its first
+    multi-precision rung in which every root met its test and found its
+    class, and then refines one root per class; should a later rung fail
+    to converge, it falls back to complex arithmetic from the roots as they
+    were before the split (see :func:`_aberth`).  Without a split they are
+    conjugate-closed to working precision only.
+
     Certificate: ``radii[i]`` bounds Neumaier's inclusion radius
     deg |p(z_i)| / |a_n prod_{j != i} (z_i - z_j)| from above, evaluated in
     interval arithmetic on enclosures of the coefficients as passed in; at a
     root z_i != 0 the factors z_i^s of p and of the product cancel, leaving
     deg / (deg - s) times Neumaier's radius of p / z^s: a larger disk about
-    the same root, so what follows still holds.
+    the same root, so what follows still holds.  For a conjugate-closed
+    root set of a real polynomial the conjugate of a root shares its
+    radius, which is computed once.
     Every zero of p lies in the union of the disks |z - z_i| <= r_i, and a
     connected component of m overlapping disks holds exactly m zeros counted
     with multiplicity; ``multiplicities[i]`` is the size of the component
@@ -452,6 +464,19 @@ def _aberth(cs, prec):
     rule: a root stops once |p(z)| is at the rounding level of that rung,
     and the next rung starts from the roots so fixed.  ``cs[0]`` must be
     nonzero: an exact zero at 0 is split off by the caller.
+
+    For real coefficients (every ``cs[k]`` an mpf) the roots come out
+    exactly conjugate-closed.  After the first multi-precision rung in
+    which every root met its test, a root within 2^(-b/4) max(1, |z|) of
+    the real axis (b that rung's bits) is taken as real, and every other
+    root must have a partner within that distance of its conjugate
+    (:func:`_mirror`), or the ladder stays complex and tries again after
+    the next rung.  From then on a real root is refined in real arithmetic
+    and each pair is stepped once, its partner set to the exact conjugate.
+    Should a later rung end with a root that never met its test (a near
+    pair taken for two real roots, say), that rung and the rest run in
+    complex arithmetic from the roots as they were before the split: Aberth
+    started on the real axis never leaves it.
     """
     logs = _log2_moduli(cs)
     starts = _newton_polygon_starts(logs)
@@ -460,11 +485,46 @@ def _aberth(cs, prec):
         roots = [mp.mpf(2) ** lr * mp.expj(t) for lr, t in starts]
     else:
         roots = [mp.mpc(z) for z in roots]
+    real = all(isinstance(c, mp.mpf) for c in cs)
+    mirror = None
     rung = 128
-    while rung < prec:
-        roots = _mp_rung(cs, roots, rung)
+    while True:
+        bits = min(rung, prec)
+        roots, done = _mp_rung(cs, roots, bits, mirror)
+        if mirror and not done:  # the split was wrong: undo it for good
+            real = mirror = None
+            roots, done = _mp_rung(cs, split, bits)
+        if bits == prec:
+            return [mp.mpc(z) for z in roots]
+        if real and not mirror and done:
+            mirror = _mirror(roots, mp.mpf(2) ** -(bits // 4))
+            if mirror:
+                split = roots
+                roots = [z.real if m == i else z if m > i else roots[m].conjugate()
+                         for i, (z, m) in enumerate(zip(roots, mirror))]
         rung *= 2
-    return _mp_rung(cs, roots, prec)
+
+
+def _mirror(roots, tol):
+    """Pair ``roots`` by conjugation: mirror[i] == i for a root within
+    tol max(1, |z|) of the real axis, else the index of the first unpaired
+    root within that distance of its conjugate.  None when a root has no
+    partner.  With tol 0 this is exact: the real roots are those whose
+    imaginary part is 0, and a partner is the exact conjugate."""
+    mirror = [None] * len(roots)
+    for i, z in enumerate(roots):
+        if mirror[i] is not None:
+            continue
+        near = tol * max(1, abs(z))
+        if abs(mp.im(z)) <= near:
+            mirror[i] = i
+            continue
+        j = next((j for j in range(i + 1, len(roots)) if mirror[j] is None
+                  and abs(roots[j] - z.conjugate()) <= near), None)
+        if j is None:
+            return None
+        mirror[i], mirror[j] = j, i
+    return mirror
 
 
 def _log2_moduli(cs):
@@ -551,45 +611,45 @@ def _double_rung(cs, logs, starts):
     return [complex(v) for v in z]
 
 
-def _mp_rung(cs, roots, prec):
+def _mp_rung(cs, roots, prec, mirror=None):
     """Aberth sweeps at ``prec`` bits until every root meets the rounding
-    test |p(z)| <= 4 deg 2^-prec sum_k |c_k| |z|^k (or stops moving, see
-    :func:`_sweep`), or 100 sweeps have run.  A root that meets it is not
-    moved again in this rung.  Every rung after the double one is this
-    routine, the last one at the working precision included."""
+    test |p(z)| <= 4 deg 2^-prec sum_k |c_k| |z|^k, or 100 sweeps have run.
+    A root that meets it is not moved again in this rung.  Every rung after
+    the double one is this routine, the last one at the working precision
+    included.  With ``mirror`` (see :func:`_aberth`) only one root of each
+    conjugate class is active.  Returns the roots and whether every root
+    met the test."""
     deg = len(roots)
     with mp.workprec(prec):
         cs = [+c for c in cs]
         moduli = [abs(c) for c in cs]
         tol = 4 * deg * mp.mpf(2) ** -prec
-        live = range(deg)
+        live = range(deg) if mirror is None else [i for i in range(deg) if mirror[i] >= i]
         for _ in range(100):
-            roots, live = _sweep(cs, roots, live, moduli, tol)
+            roots, live = _sweep(cs, roots, live, moduli, tol, mirror)
             if not live:
                 break
-    return roots
+    return roots, not live
 
 
-def _sweep(cs, roots, active, moduli, tol):
+def _sweep(cs, roots, active, moduli, tol, mirror=None):
     """One Jacobi sweep of the Aberth correction over the roots ``active``,
     at the working precision.
 
     A root that meets the rounding test |p(z)| <= tol sum_k |c_k| |z|^k
     (``moduli`` holds the |c_k|) keeps its place and leaves the active list.
-    So does a root whose step falls below 2^-prec of max(1, |z|), the
-    scale the certificate measures it against: it no longer moves at this
-    precision.  That rule is a guard, for a root whose rounding in Horner's
-    rule exceeds what the test allows; an exact multiple zero at 0, where
-    |p(z)| and the sum shrink alike and the test is never met, is split off
-    before Aberth (see :func:`polyroots_and_measure`).  1/(z_i - z_j) is
-    computed once per pair: (j, i) takes its negation, which is exact, so
-    the roots are those of computing both.
+    An exact multiple zero at 0, where |p(z)| and the sum shrink alike and
+    the test is never met, is split off before Aberth (see
+    :func:`polyroots_and_measure`).  1/(z_i - z_j) is computed once per
+    pair: (j, i) takes its negation, which is exact, so the roots are those
+    of computing both.  With ``mirror`` a real root (an mpf) takes the real
+    part of its Aberth sum, where the terms of a conjugate pair add up, and
+    stays real; the partner of a stepped root becomes its exact conjugate.
     Returns the new roots and the roots still active.
     """
     n = len(roots)
     inv = [[None] * n for _ in range(n)]
     eps = mp.mpf(2) ** (-mp.mp.prec + 8)
-    unit = mp.mpf(2) ** -mp.mp.prec
     new = list(roots)
     left = []
     for i in active:
@@ -597,38 +657,56 @@ def _sweep(cs, roots, active, moduli, tol):
         p, dp = _horner_with_derivative(cs, r)
         if abs(p) <= tol * _horner(moduli, abs(r)):
             continue
+        left.append(i)
         if dp == 0:
             new[i] = r + eps
-            left.append(i)
-            continue
-        newton = p / dp
-        s = mp.mpc(0)
-        row = inv[i]
-        for j in range(n):
-            if j == i:
-                continue
-            v = inv[j][i]
-            if v is None:
-                diff = r - roots[j]
-                v = row[j] = 1 / diff if diff != 0 else 0
-            else:
-                v = -v
-            s += v
-        denom = 1 - newton * s
-        delta = newton / denom if denom != 0 else newton
-        new[i] = r - delta
-        if abs(delta) / max(1, abs(r)) >= unit:
-            left.append(i)
+        else:
+            newton = p / dp
+            s = 0
+            row = inv[i]
+            for j in range(n):
+                if j == i:
+                    continue
+                v = inv[j][i]
+                if v is None:
+                    diff = r - roots[j]
+                    v = row[j] = 1 / diff if diff != 0 else 0
+                else:
+                    v = -v
+                s += v
+            if mirror and mirror[i] == i:
+                s = mp.re(s)
+            denom = 1 - newton * s
+            new[i] = r - (newton / denom if denom != 0 else newton)
+        if mirror and mirror[i] != i:
+            new[mirror[i]] = new[i].conjugate()
     return new, left
+
+
+def _exact_mirror(cs, roots):
+    """The pairing of :func:`_mirror` at tolerance 0 when the coefficients
+    are real, else None.  For real p, |p(conj z)| = |p(z)|, and conjugation
+    permutes an exactly conjugate-closed root set, so the conjugate of a
+    root has the same residual and the same inclusion radius."""
+    return None if any(isinstance(c, mp.mpc) for c in cs) else _mirror(roots, 0)
+
+
+def _as_real(z):
+    """z as an mpf when its imaginary part is exactly 0: the same number, in
+    real arithmetic."""
+    return mp.re(z) if mp.im(z) == 0 else z
 
 
 def _residual_bound(cs, roots):
     lead = abs(cs[-1])
     deg = len(cs) - 1
+    mirror = _exact_mirror(cs, roots)
     worst = mp.mpf(0)
-    for r in roots:
+    for i, r in enumerate(roots):
+        if mirror and mirror[i] < i:
+            continue
         scale = lead * max(mp.mpf(1), abs(r)) ** deg
-        worst = max(worst, abs(_horner(cs, r)) / scale)
+        worst = max(worst, abs(_horner(cs, _as_real(r))) / scale)
     return worst
 
 
@@ -643,15 +721,21 @@ def _inclusion_disks(coeffs, roots, prec, at_zero=0):
     coefficient is enclosed as given: an mpmath number exactly, an int,
     float or decimal string rounded outward to ``prec`` bits.  So each
     radius, the upper end of its interval, is a bound; it is +inf when the
-    roots' differences cannot be told from 0.
+    roots' differences cannot be told from 0.  A root whose imaginary part
+    is exactly 0 is enclosed in a real interval.  For real coefficients and
+    an exactly conjugate-closed root set, the conjugate of a root takes its
+    radius (see :func:`_exact_mirror`).
     """
     iv = type(mp.iv)()  # own interval context: the shared mp.iv keeps its precision
     iv.prec = prec
     cs = [iv.convert(c) for c in coeffs]
-    zs = [iv.convert(z) for z in roots]
+    zs = [iv.convert(_as_real(z)) for z in roots]
+    mirror = _exact_mirror([mp.mpmathify(c) for c in coeffs], roots)
     deg = len(zs)
-    radii = [mp.mpf(0)] * at_zero
-    for i, z in enumerate(zs[at_zero:], at_zero):
+    radii = [mp.mpf(0)] * deg
+    for i, z in enumerate(zs):
+        if i < at_zero or mirror and mirror[i] < i:
+            continue
         p = iv.mpf(0)
         for c in reversed(cs):
             p = p * z + c
@@ -659,13 +743,30 @@ def _inclusion_disks(coeffs, roots, prec, at_zero=0):
         for j, w in enumerate(zs):
             if j != i:
                 d = d * (z - w)
-        radii.append(mp.make_mpf((deg * abs(p) / abs(d))._mpi_[1]))
-    # connected components of the overlap graph
-    cluster = list(range(deg))
-    for i in range(deg):
-        for j in range(i + 1, deg):
-            gap = mp.make_mpf(abs(zs[i] - zs[j])._mpi_[0])
-            if cluster[i] != cluster[j] and gap <= mp.fadd(radii[i], radii[j], rounding="c"):
-                merged = cluster[j]
-                cluster = [cluster[i] if c == merged else c for c in cluster]
-    return radii, [cluster.count(c) for c in cluster]
+        radii[i] = mp.make_mpf((deg * abs(p) / abs(d))._mpi_[1])
+    if mirror:
+        radii = [radii[min(i, m)] for i, m in enumerate(mirror)]
+    return radii, _cluster_sizes(zs, radii)
+
+
+def _cluster_sizes(zs, radii):
+    """For each disk |z - zs[i]| <= radii[i], the number of disks in its
+    connected component of the overlap graph, found by union-find.  ``zs``
+    are interval enclosures; two disks overlap when the lower end of the
+    distance of their centres is at most the sum of their radii."""
+    parent = list(range(len(zs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            a, b = find(i), find(j)
+            if a != b and (mp.make_mpf(abs(zs[i] - zs[j])._mpi_[0])
+                           <= mp.fadd(radii[i], radii[j], rounding="c")):
+                parent[a] = b
+    comp = [find(i) for i in range(len(zs))]
+    return [comp.count(c) for c in comp]

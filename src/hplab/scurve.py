@@ -271,7 +271,8 @@ def _trace_arc(qd: QuadraticDifferential, a: complex, b: complex) -> np.ndarray:
 
     Raises EndpointMismatch when Re G(b) does not vanish or the last step
     does not land on ``b``, and NotGeneralPosition when Newton fails to
-    converge, as it does when a double zero lies on the arc.
+    converge, as it does when a double zero lies on the arc, or at once when
+    an iterate is not finite.
     """
     num, den = qd.numerator_roots, qd.denominator_roots
     total, _ = integrate_path(num, den, route_around(a, b, num + den))
@@ -300,6 +301,8 @@ def _trace_arc(qd: QuadraticDifferential, a: complex, b: complex) -> np.ndarray:
             if (root * math.prod(t - r for r in den) * w.conjugate()).real < 0:
                 root = -root
             t -= miss / root
+            if not cmath.isfinite(t):
+                raise NotGeneralPosition(f"Newton lost point {k} of the arc from {a}")
             if abs(miss) <= _NEWTON_TOL * abs(total):
                 break
         else:

@@ -18,7 +18,7 @@ from hplab.hermite_pade import (
 from hplab.funcspec import validate_spec
 from hplab.series import LaurentGerm, germ_constant, germ_of_family
 
-from conftest import RAW_Z
+from conftest import RAW_P2, RAW_Z
 
 
 PREC = 768
@@ -348,3 +348,79 @@ def test_exact_zeros_at_zero_split_off(spec_z, horner_calls):
         assert len(at_zero) == 6
         assert all(zeros.multiplicities[i] == 6 and zeros.radii[i] == 0 for i in at_zero)
         assert len(horner_calls) <= 12 * deg
+
+
+@pytest.fixture(scope="module", params=[RAW_Z, RAW_P2], ids=["RAW_Z", "RAW_P2"])
+def hp_zeros_polys(request):
+    """The Q_j of `hplab hp` at k=3, n=10 and 2048 bits: real coefficients,
+    all zeros real on RAW_Z, real ones and conjugate pairs on RAW_P2."""
+    k, n, bits = 3, 10, 2048
+    spec = validate_spec(request.param)
+    germs = germ_of_family(spec, n + contract_order(k, n) + 25, precision_bits=bits)
+    return hp_type1(list(germs[: k - 1]), n, precision_bits=bits).polys
+
+
+def test_real_route_matches_complex_route(hp_zeros_polys):
+    # mpc coefficients take the complex route on every rung
+    for q in hp_zeros_polys:
+        real, _ = polyroots_and_measure(q, tol=1e-10)
+        with mp.workprec(2048):  # the precision of q
+            q_mpc = [mp.mpc(c) for c in q]
+        cplx, _ = polyroots_and_measure(q_mpc, tol=1e-10)
+        for z, m in zip(real.roots, real.multiplicities):
+            j = min(range(len(cplx.roots)), key=lambda j: abs(cplx.roots[j] - z))
+            assert abs(cplx.roots[j] - z) <= 1e-120 * max(1, abs(z))
+            assert cplx.multiplicities[j] == m
+        assert all(r <= 1e-10 * max(1, abs(z)) for r, z in zip(real.radii, real.roots))
+        # the real roots are those the complex route puts on the axis, and
+        # have imaginary part exactly 0
+        assert ([abs(mp.im(z)) <= 1e-100 for z in cplx.roots].count(True)
+                == [mp.im(z) == 0 for z in real.roots].count(True))
+        with mp.workprec(1024):  # conjugate() rounds to the working precision
+            assert {z.conjugate() for z in real.roots} == set(real.roots)
+
+
+def test_near_conjugate_pair_falls_back_to_complex_ladder(monkeypatch):
+    # (z - 1)^2 + 1e-90: at 128 and 256 bits the coefficients hold a double
+    # zero at 1, so the pair is split as two real roots; at 512 bits real
+    # Aberth finds no zero, and the ladder must go back to the complex roots
+    # it split, which a restart from the real axis could never leave
+    with mp.workprec(1024):
+        eps = mp.mpf("1e-90")
+        q = [1 + eps, mp.mpf(-2), mp.mpf(1)]
+        truth = [mp.mpc(1, mp.sqrt(eps)), mp.mpc(1, -mp.sqrt(eps))]
+    rungs = []
+    rung = hp_mod._mp_rung
+
+    def spy(cs, roots, prec, mirror=None):
+        roots, done = rung(cs, roots, prec, mirror)
+        rungs.append((mirror is not None, done))
+        return roots, done
+
+    monkeypatch.setattr(hp_mod, "_mp_rung", spy)
+    zeros, _ = polyroots_and_measure(q, precision_bits=512)
+    assert (True, False) in rungs
+    assert zeros.multiplicities == (1, 1)
+    assert all(r <= 1e-200 for r in zeros.radii)
+    assert all(_covers(zeros, e) for e in truth)
+
+
+def test_close_real_pair_stays_real():
+    # (z - 1)(z - 1 - 1e-45): two real zeros the 128-bit rung cannot tell apart
+    with mp.workprec(1024):
+        d = mp.mpf("1e-45")
+        q = [1 + d, -(2 + d), mp.mpf(1)]
+        truth = [mp.mpf(1), 1 + d]
+    zeros, _ = polyroots_and_measure(q, precision_bits=512)
+    assert zeros.multiplicities == (1, 1)
+    assert all(mp.im(z) == 0 for z in zeros.roots)
+    assert all(_covers(zeros, e) for e in truth)
+
+
+@pytest.mark.parametrize("centres", [(0, 1, 2, 10), (0, 2, 1, 10)])
+def test_cluster_sizes_merge_a_chain(centres):
+    # the disks about 0 and 1 meet, and those about 1 and 2, but not those
+    # about 0 and 2: one component of three; the disk about 10 is alone
+    iv = type(mp.iv)()
+    zs = [iv.convert(x) for x in centres]
+    assert hp_mod._cluster_sizes(zs, [mp.mpf("0.6")] * 4) == [3, 3, 3, 1]

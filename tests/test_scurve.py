@@ -129,6 +129,21 @@ def test_trace_agrees_with_tight_newton(name, request, monkeypatch):
     assert max(np.abs(a - b).max() for a, b in zip(shipped.arcs, tight.arcs)) <= 1e-12
 
 
+def test_trace_stops_at_first_nonfinite_iterate(qd_p1, integrate_calls, monkeypatch):
+    """A quadrature that overflows to NaN (as near a double zero on the arc)
+    ends the trace at once, not after _MAX_NEWTON more quadratures."""
+    counted = scurve.integrate_path
+
+    def nan_after_first(*args, **kwargs):
+        g, w = counted(*args, **kwargs)
+        return (g, w) if len(integrate_calls) == 1 else (complex("nan"), w)
+
+    monkeypatch.setattr(scurve, "integrate_path", nan_after_first)
+    with pytest.raises(NotGeneralPosition):
+        trace_compact(qd_p1)
+    assert len(integrate_calls) <= 3
+
+
 def test_trace_is_deterministic(qd_sheets_p2):
     first, second = trace_compact(qd_sheets_p2), trace_compact(qd_sheets_p2)
     assert all(np.array_equal(a, b) for a, b in zip(first.arcs, second.arcs))
