@@ -380,20 +380,23 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
     of the trimmed polynomial, which keeps ``deg`` roots.  A run of s exactly
     zero coefficients at the low end is split off as s roots exactly 0, each
     with radius 0.  The iteration (:func:`_aberth`) runs on the rest: it
-    starts on the circles of the Newton polygon of log|c_i| and climbs a
-    ladder of precisions from double up to ``work = 2 * prec`` bits, each
-    rung stopping a root once |p(z)| is at its rounding level, so the roots
-    carry full working precision whatever ``tol``.
+    starts on the circles of the Newton polygon of log|c_i|, moves to the
+    variable w of the cluster of zeros, z = C + 2^E w, fitted from a
+    double-precision pass (C dyadic, the shift of the coefficients exact),
+    and climbs a ladder of precisions from double up to ``work = 2 * prec``
+    bits, each rung stopping a root once |p(C + 2^E w)| is at its rounding
+    level, so the roots carry full working precision whatever ``tol``.
+    They are mapped back to z at the working precision.
 
     For real coefficients (ints, floats, decimal strings or mpf numbers)
-    the roots are exactly conjugate-closed: a real root has imaginary part
-    exactly 0, and the conjugate of any other root is a root.  The ladder
-    splits them into real roots and conjugate pairs after its first
-    multi-precision rung in which every root met its test and found its
-    class, and then refines one root per class; should a later rung fail
-    to converge, it falls back to complex arithmetic from the roots as they
-    were before the split (see :func:`_aberth`).  Without a split they are
-    conjugate-closed to working precision only.
+    C is real and the roots are exactly conjugate-closed: a real root has
+    imaginary part exactly 0, and the conjugate of any other root is a
+    root.  The ladder splits them into real roots and conjugate pairs after
+    its first rung, the double one included, in which every root met its
+    test and found its class, and then refines one root per class; should
+    a later rung fail to converge, it falls back to complex arithmetic from
+    the roots as they were before the split (see :func:`_aberth`).  Without
+    a split they are conjugate-closed to working precision only.
 
     Certificate: ``radii[i]`` bounds Neumaier's inclusion radius
     deg |p(z_i)| / |a_n prod_{j != i} (z_i - z_j)| from above, evaluated in
@@ -455,7 +458,8 @@ def polyroots_and_measure(poly, tol: float = 1e-12, precision_bits: int | None =
 
 def _aberth(cs, prec):
     """Aberth-Ehrlich iteration on a ladder of precisions, after MPSolve
-    (Bini & Robol, J. Comput. Appl. Math. 2014).
+    (Bini & Robol, J. Comput. Appl. Math. 2014), in the variable of the
+    cluster of zeros.
 
     The starts lie on the circles of the Newton polygon of log|c_i|
     (:func:`_newton_polygon_starts`).  The rungs run in complex128
@@ -465,44 +469,134 @@ def _aberth(cs, prec):
     and the next rung starts from the roots so fixed.  ``cs[0]`` must be
     nonzero: an exact zero at 0 is split off by the caller.
 
+    Shift.  In the monomial basis about 0, a polynomial whose zeros gather
+    on a small set away from 0 is badly conditioned there, and the double
+    rung leaves its roots on a wide pseudo-zero loop that the next rungs
+    are slow to cross.  So the ladder runs on q(w) = p(c + 2^e w), with
+    (c, e) fitted from the double rung's roots by :func:`_fit_shift`: c is
+    dyadic, so :func:`_taylor_shift` computes q exactly and each rung
+    rounds it as it rounds p.  The double rung is rerun on q and the fit
+    repeated while it narrows the cluster (e < 0), at most 4 shifts in all,
+    composed exactly into z = C + 2^E w; the first fit is applied whenever
+    it is not the identity.  A fit that would put 2^E below 2^-53 |C|, a
+    cluster finer than the double grid about its centre (a near-multiple
+    zero), is not applied.  The roots are mapped back to z at ``prec``
+    bits, one rounding each; with C real a real root stays real.
+
     For real coefficients (every ``cs[k]`` an mpf) the roots come out
-    exactly conjugate-closed.  After the first multi-precision rung in
-    which every root met its test, a root within 2^(-b/4) max(1, |z|) of
-    the real axis (b that rung's bits) is taken as real, and every other
-    root must have a partner within that distance of its conjugate
-    (:func:`_mirror`), or the ladder stays complex and tries again after
-    the next rung.  From then on a real root is refined in real arithmetic
-    and each pair is stepped once, its partner set to the exact conjugate.
-    Should a later rung end with a root that never met its test (a near
-    pair taken for two real roots, say), that rung and the rest run in
-    complex arithmetic from the roots as they were before the split: Aberth
-    started on the real axis never leaves it.
+    exactly conjugate-closed.  After the first rung in which every root met
+    its test, the last double rung included, a root within 2^(-b/4)
+    max(1, |w|) of the real axis (b that rung's bits, 53 for the double
+    rung) is taken as real, and every other root must have a partner within
+    that distance of its conjugate (:func:`_mirror`), or the ladder stays
+    complex and tries again after the next rung.  From then on a real root
+    is refined in real arithmetic and each pair is stepped once, its
+    partner set to the exact conjugate.  Should a later rung end with a
+    root that never met its test (a near pair taken for two real roots,
+    say), that rung and the rest run in complex arithmetic from the roots
+    as they were before the split: Aberth started on the real axis never
+    leaves it.
     """
-    logs = _log2_moduli(cs)
-    starts = _newton_polygon_starts(logs)
-    roots = _double_rung(cs, logs, starts)
+    real = all(isinstance(c, mp.mpf) for c in cs)
+    roots, done = _double_rung(cs)
+    centre, e_total = mp.mpc(0), 0  # z = centre + 2^e_total w, exactly
+    for k in range(4):
+        fit = roots is not None and _fit_shift(roots, real)
+        if not fit or k and fit[1] >= 0:
+            break
+        m, e = fit
+        c = mp.fadd(centre, mp.mpc(*(_dyadic(x, e_total + e - 6) for x in m)), exact=True)
+        if c != 0 and e_total + e < mp.mag(c) - 53:
+            break  # a cluster below double resolution of its centre
+        centre, e_total = c, e_total + e
+        cs = _taylor_shift(cs, m, e)
+        roots, done = _double_rung(cs)
     if roots is None:
+        starts = _newton_polygon_starts(_log2_moduli(cs))
         roots = [mp.mpf(2) ** lr * mp.expj(t) for lr, t in starts]
     else:
         roots = [mp.mpc(z) for z in roots]
-    real = all(isinstance(c, mp.mpf) for c in cs)
     mirror = None
-    rung = 128
+    bits, rung = 53, 128
     while True:
-        bits = min(rung, prec)
-        roots, done = _mp_rung(cs, roots, bits, mirror)
-        if mirror and not done:  # the split was wrong: undo it for good
-            real = mirror = None
-            roots, done = _mp_rung(cs, split, bits)
-        if bits == prec:
-            return [mp.mpc(z) for z in roots]
         if real and not mirror and done:
             mirror = _mirror(roots, mp.mpf(2) ** -(bits // 4))
             if mirror:
                 split = roots
                 roots = [z.real if m == i else z if m > i else roots[m].conjugate()
                          for i, (z, m) in enumerate(zip(roots, mirror))]
+        bits = min(rung, prec)
+        roots, done = _mp_rung(cs, roots, bits, mirror)
+        if mirror and not done:  # the split was wrong: undo it for good
+            real = mirror = None
+            roots, done = _mp_rung(cs, split, bits)
+        if bits == prec:
+            with mp.workprec(prec):
+                scale = mp.ldexp(1, e_total)
+                return [mp.mpc(centre + z * scale) for z in roots]
         rung *= 2
+
+
+def _fit_shift(roots, real):
+    """The map z = m 2^(e-6) + 2^e w onto the cluster of ``roots`` (complex
+    numbers), as (m, e) with m a pair of ints (real, imaginary part), or None
+    when it is the identity or the cluster spans no distance.
+
+    The cluster is the roots whose modulus lies within a factor 4 of the
+    median modulus.  The centre is their centroid rounded to the grid
+    2^(e-6), real when ``real``; 2^e is the least power of two at or above
+    their largest distance from the centroid."""
+    moduli = sorted(abs(z) for z in roots)
+    median = moduli[len(moduli) // 2]
+    cluster = [z for z in roots if median / 4 <= abs(z) <= 4 * median]
+    centroid = sum(cluster) / len(cluster)
+    if real:
+        centroid = centroid.real
+    spread = max(abs(z - centroid) for z in cluster)
+    if not 0 < spread < math.inf:
+        return None
+    frac, e = math.frexp(spread)
+    e -= frac == 0.5
+    m = tuple(int(mp.nint(mp.ldexp(x, 6 - e))) for x in (centroid.real, centroid.imag))
+    return None if m == (0, 0) and e == 0 else (m, e)
+
+
+def _dyadic(man, exp):
+    """man 2^exp as an mpf, exactly."""
+    return mp.make_mpf(mp.libmp.from_man_exp(man, exp))
+
+
+def _taylor_shift(cs, m, e):
+    """The coefficients of p(c + 2^e w), c = (m[0] + i m[1]) 2^(e-6), from
+    those of p (ascending, mpf or mpc), exactly.
+
+    Every coefficient and c are dyadic, so the shift runs on integers: with
+    p(z) = 2^low sum A_k z^k, A_k integers, and z = 2^g (m + 64 w),
+    g = e - 6, the integer Taylor shift by m of A_k 2^(gk - top),
+    top = deg min(g, 0), gives B_k with
+    p(c + 2^e w) = sum B_k 2^(low + top + 6k) w^k.  Nothing is rounded:
+    each rung rounds the result to its own precision.  Real coefficients
+    and a real c give mpf coefficients."""
+    parts = []
+    for c in cs:
+        for x in (mp.re(c), mp.im(c)):
+            sign, man, exp, _ = x._mpf_
+            parts.append((-man if sign else man, exp))
+    low = min(exp for man, exp in parts if man)
+    deg = len(cs) - 1
+    g = e - 6
+    top = deg * min(g, 0)
+    re, im = ([man << (exp - low + g * k - top) if man else 0
+               for k, (man, exp) in enumerate(parts[h::2])] for h in (0, 1))
+    mr, mi = m
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            re[j], im[j] = (re[j] + mr * re[j + 1] - mi * im[j + 1],
+                            im[j] + mr * im[j + 1] + mi * re[j + 1])
+    out = [_dyadic(a, low + top + 6 * k) for k, a in enumerate(re)]
+    if mi or any(isinstance(c, mp.mpc) for c in cs):
+        out = [mp.mpc(x, _dyadic(b, low + top + 6 * k)) for k, (x, b) in enumerate(zip(out, im))]
+    return out
 
 
 def _mirror(roots, tol):
@@ -563,27 +657,33 @@ def _newton_polygon_starts(logs):
     return starts
 
 
-def _double_rung(cs, logs, starts):
-    """Aberth sweeps in complex128 from ``starts`` until every root meets the
-    rounding test |p(z)| <= 4 deg 2^-53 sum_k |c_k| |z|^k, or 100 sweeps
-    have run.
+def _double_rung(cs):
+    """Aberth sweeps in complex128 from the Newton-polygon starts until every
+    root meets the rounding test |p(z)| <= 4 deg 2^-53 sum_k |c_k| |z|^k, or
+    100 sweeps have run.
 
     The coefficients are scaled by 2^-e, e the exponent of the largest.  p is
     evaluated by Horner for |z| <= 1 and through its reversal at 1/z for
     |z| > 1, so no power of z can overflow.  Returns the roots as complex
-    numbers, or None when a start radius or the scaled leading coefficient
-    is outside the range of double precision.
+    numbers and whether every root met the test; the roots are None when a
+    start radius or the scaled leading coefficient is outside the range of
+    double precision.  :func:`_aberth` runs it once on p and once after
+    each shift: its roots fit the next shift, and when every root met the
+    test, those of the last run give the first conjugate split.
     """
+    logs = _log2_moduli(cs)
+    starts = _newton_polygon_starts(logs)
     if max(abs(lr) for lr, _ in starts) > 1000:
-        return None
+        return None, False
     scale = mp.mpf(2) ** -math.ceil(max(v for v in logs if v is not None))
     c = np.array([complex(x * scale) for x in cs])
     if c[-1] == 0:
-        return None
+        return None, False
     deg = len(c) - 1
     tol = 4 * deg * 2.0 ** -53
     z = np.array([2.0 ** lr * cmath.exp(1j * t) for lr, t in starts])
     live = np.ones(deg, dtype=bool)
+    met = True  # no root has left on a non-finite step
     with np.errstate(all="ignore"):
         for _ in range(100):
             idx = np.flatnonzero(live)
@@ -608,7 +708,8 @@ def _double_rung(cs, logs, starts):
             ok = np.isfinite(new)
             z[move[ok]] = new[ok]
             live[move[~ok]] = False
-    return [complex(v) for v in z]
+            met &= ok.all()
+    return [complex(v) for v in z], bool(met and not live.any())
 
 
 def _mp_rung(cs, roots, prec, mirror=None):

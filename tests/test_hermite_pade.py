@@ -328,7 +328,7 @@ def test_aberth_ladder_sweeps_on_hp_zeros(spec_z, horner_calls):
         zeros, _ = polyroots_and_measure(q, tol=1e-10)
         deg = len(zeros.roots)
         assert deg == n
-        assert len(horner_calls) <= 12 * deg
+        assert len(horner_calls) <= 11 * deg
 
 
 def test_exact_zeros_at_zero_split_off(spec_z, horner_calls):
@@ -378,6 +378,93 @@ def test_real_route_matches_complex_route(hp_zeros_polys):
                 == [mp.im(z) == 0 for z in real.roots].count(True))
         with mp.workprec(1024):  # conjugate() rounds to the working precision
             assert {z.conjugate() for z in real.roots} == set(real.roots)
+
+
+def test_roots_agree_with_mpmath_polyroots(hp_zeros_polys):
+    # an independent route: mpmath's Durand-Kerner on the same coefficients
+    for q in hp_zeros_polys:
+        zeros, _ = polyroots_and_measure(q, tol=1e-10)
+        with mp.workprec(512):
+            ref = mp.polyroots(q[::-1], maxsteps=200, extraprec=1024)
+        assert zeros.multiplicities == (1,) * len(ref)
+        nearest = [min(range(len(ref)), key=lambda j: abs(ref[j] - z)) for z in zeros.roots]
+        assert sorted(nearest) == list(range(len(ref)))
+        for z, j in zip(zeros.roots, nearest):
+            assert abs(z - ref[j]) <= 1e-120 * abs(ref[j])
+
+
+def test_taylor_shift_fires_and_pays(spec_z, horner_calls, monkeypatch):
+    # the zeros of these Q_j lie on [1.25, 1.667]: every root call moves to
+    # the variable of that cluster, and the 128-bit rung, which took 358-431
+    # calls (18-22 complex sweeps) in the monomial basis about 0, takes 44-47
+    # there; the whole call took 473-551
+    k, n, bits = 3, 20, 2048
+    germs = germ_of_family(spec_z, n + contract_order(k, n) + 25, precision_bits=bits)
+    sol = hp_type1(list(germs[: k - 1]), n, precision_bits=bits)
+    shifts = []
+    shift = hp_mod._taylor_shift
+
+    def spy(cs, m, e):
+        shifts.append(e)
+        return shift(cs, m, e)
+
+    monkeypatch.setattr(hp_mod, "_taylor_shift", spy)
+    for q in sol.polys:
+        horner_calls.clear()
+        shifts.clear()
+        zeros, _ = polyroots_and_measure(q, tol=1e-10)
+        deg = len(zeros.roots)
+        assert shifts
+        assert len(horner_calls) <= 12 * deg
+
+
+def _far_cluster():
+    """prod_{j<12} (8z - 800 - j): the zeros 100 + j/8, with exact integer
+    coefficients."""
+    poly = [1]
+    for j in range(12):
+        poly = [8 * b - (800 + j) * a for a, b in zip(poly + [0], [0] + poly)]
+    return poly, [100 + mp.mpf(j) / 8 for j in range(12)]
+
+
+def test_far_cluster_roots_real_and_covered():
+    poly, truth = _far_cluster()
+    zeros, _ = polyroots_and_measure(poly, tol=1e-14, precision_bits=256)
+    assert all(mp.im(z) == 0 for z in zeros.roots)
+    assert zeros.multiplicities == (1,) * 12
+    assert all(_covers(zeros, e) for e in truth)
+    # scaling by 2^3000 is exact: the same cluster, the same shift
+    scaled, _ = polyroots_and_measure([c * 2**3000 for c in poly], tol=1e-14, precision_bits=256)
+    assert all(mp.im(z) == 0 for z in scaled.roots)
+    assert scaled.multiplicities == zeros.multiplicities
+    for x, y in zip(zeros.roots, scaled.roots):
+        assert abs(x - y) <= mp.mpf(2) ** -400 * abs(x)
+
+
+def test_near_pair_under_early_split(monkeypatch):
+    # (z - 1)^2 + 1e-40: the pair lies 1e-20 (about 2^-66) from 1, below the
+    # double resolution of its centre, so no second shift zooms in on it;
+    # the double rung's split takes it for two real roots, and the first
+    # rung must undo that
+    with mp.workprec(1024):
+        eps = mp.mpf("1e-40")
+        q = [1 + eps, mp.mpf(-2), mp.mpf(1)]
+        truth = [mp.mpc(1, mp.sqrt(eps)), mp.mpc(1, -mp.sqrt(eps))]
+    rungs = []
+    rung = hp_mod._mp_rung
+
+    def spy(cs, roots, prec, mirror=None):
+        roots, done = rung(cs, roots, prec, mirror)
+        rungs.append((prec, mirror is not None, done))
+        return roots, done
+
+    monkeypatch.setattr(hp_mod, "_mp_rung", spy)
+    zeros, _ = polyroots_and_measure(q, precision_bits=512)
+    assert rungs[0] == (128, True, False)
+    assert zeros.multiplicities == (1, 1)
+    assert all(_covers(zeros, e) for e in truth)
+    for z, e in zip(zeros.roots, truth[::-1]):
+        assert abs(z - e) <= 1e-200
 
 
 def test_near_conjugate_pair_falls_back_to_complex_ladder(monkeypatch):
